@@ -1,5 +1,13 @@
 """Exact arithmetic over the Gaussian rationals: resultants, the 2x2x2
-hyperdeterminant, and the order-3 dimension-2 characteristic polynomial."""
+hyperdeterminant, and the order-3 dimension-2 characteristic polynomial.
+
+The characteristic polynomial is one binary Sylvester resultant: the
+eigenvector cubic x2 (A x^2)_1 - x1 (A x^2)_2 against a quartic that
+vanishes at an eigenvector exactly when mu is the square of its
+normalized eigenvalue (see ``charpoly_exact_2_3``).  The few tensors on
+which that resultant drops degree get the same coefficients by exact
+interpolation along a rational perturbation line.
+"""
 
 from __future__ import annotations
 
@@ -409,69 +417,6 @@ def sylvester_resultant(p: ExactPoly, q: ExactPoly, var: int,
     return _det_bareiss(rows)
 
 
-# ---------------------------------------------------------------------------
-# univariate helpers over GaussianRational (coefficient lists, low to high)
-
-
-def _uni_from_poly(p: ExactPoly, var: int) -> list:
-    deg = p.degree_in(var)
-    coeffs = [_GR_ZERO] * (deg + 1) if deg >= 0 else []
-    for expo, c in p.terms.items():
-        if any(e and v != var for v, e in enumerate(expo)):
-            raise ValueError("polynomial involves more than the requested variable")
-        coeffs[expo[var]] = c
-    return coeffs
-
-
-def _uni_trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _uni_divmod(a: list, b: list):
-    a = list(a)
-    b = _uni_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    q = [_GR_ZERO] * max(0, len(a) - len(b) + 1)
-    while _uni_trim(a) and len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * bc
-        a.pop()
-    return _uni_trim(q), _uni_trim(a)
-
-
-def _uni_monic(c: list) -> list:
-    c = _uni_trim(list(c))
-    if not c:
-        return c
-    lead = c[-1]
-    return [x / lead for x in c]
-
-
-def _uni_gcd_monic(a: list, b: list) -> list:
-    a = _uni_trim(list(a))
-    b = _uni_trim(list(b))
-    while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    return _uni_monic(a)
-
-
-def _uni_eval(c: list, value: GaussianRational) -> GaussianRational:
-    out = _GR_ZERO
-    for coeff in reversed(c):
-        out = out * value + coeff
-    return out
-
-
-# ---------------------------------------------------------------------------
-
-
 def _exact_entries_222(A: Tensor):
     if A.m != 3 or A.n != 2:
         raise ValueError(f"expected an order-3 dimension-2 tensor, got m={A.m}, n={A.n}")
@@ -510,20 +455,23 @@ def hyperdeterminant_222(A: Tensor) -> GaussianRational:
     return det
 
 
-def _resultant_quadratics_entries(e) -> GaussianRational:
-    def a(i, j, k):
-        return e[(i - 1) * 4 + (j - 1) * 2 + (k - 1)]
+def _quadratics_222(entries):
+    """(A x^2)_1 and (A x^2)_2 at x = (t, 1), as polynomials in (t, mu);
+    mu (variable 1) is unused here and enters through the charpoly form."""
 
-    z = _GR_ZERO
-    r1 = [a(1, 1, 1), a(1, 1, 2) + a(1, 2, 1), a(1, 2, 2)]
-    r2 = [a(2, 1, 1), a(2, 1, 2) + a(2, 2, 1), a(2, 2, 2)]
-    rows = [
-        [r1[0], r1[1], r1[2], z],
-        [z, r1[0], r1[1], r1[2]],
-        [r2[0], r2[1], r2[2], z],
-        [z, r2[0], r2[1], r2[2]],
-    ]
-    return _det_bareiss(rows)
+    def a(i, j, k):
+        return entries[(i - 1) * 4 + (j - 1) * 2 + (k - 1)]
+
+    return tuple(
+        ExactPoly(2, {(2, 0): a(i, 1, 1), (1, 0): a(i, 1, 2) + a(i, 2, 1),
+                      (0, 0): a(i, 2, 2)})
+        for i in (1, 2)
+    )
+
+
+def _resultant_quadratics_entries(entries) -> GaussianRational:
+    f1, f2 = _quadratics_222(entries)
+    return sylvester_resultant(f1, f2, 0, 2, 2).terms.get((0, 0), _GR_ZERO)
 
 
 def resultant_quadratics_2(A: Tensor) -> GaussianRational:
@@ -538,14 +486,18 @@ def resultant_quadratics_2(A: Tensor) -> GaussianRational:
 @dataclass(frozen=True)
 class ExactCharPoly:
     """Characteristic polynomial C2*t^6 + C4*t^4 + C6*t^2 + C8 of an
-    order-3 dimension-2 tensor (t the eigenvalue), exact coefficients."""
+    order-3 dimension-2 tensor (t the eigenvalue), exact coefficients.
+
+    ``anchor`` names the route that produced them: "c2" for the binary
+    resultant scaled by the closed-form C2, "perturbation" for exact
+    interpolation along a perturbation line (see ``charpoly_exact_2_3``).
+    """
 
     c2: GaussianRational
     c4: GaussianRational
     c6: GaussianRational
     c8: GaussianRational
-    shear_used: bool = False
-    anchor: str = "c8"
+    anchor: str = "c2"
 
     def coefficients(self) -> tuple:
         return (self.c2, self.c4, self.c6, self.c8)
@@ -571,74 +523,6 @@ class ExactCharPoly:
         return np.roots(arr[nz[0]:])
 
 
-# exact rational rotations used when a leading coefficient degenerates;
-# orthogonal, so the eigenvalues are unchanged
-_SHEAR_ROTATIONS = (
-    (Fraction(3, 5), Fraction(4, 5)),
-    (Fraction(5, 13), Fraction(12, 13)),
-    (Fraction(8, 17), Fraction(15, 17)),
-)
-
-
-def _rotate_222(entries, cs):
-    c, s = GaussianRational.coerce(cs[0]), GaussianRational.coerce(cs[1])
-    Q = [[c, -s], [s, c]]  # columns are the new basis vectors
-    out = []
-    for j in range(2):
-        for k in range(2):
-            for l in range(2):
-                acc = _GR_ZERO
-                for a_ in range(2):
-                    for b_ in range(2):
-                        for c_ in range(2):
-                            acc = acc + Q[a_][j] * entries[a_ * 4 + b_ * 2 + c_] * Q[b_][k] * Q[c_][l]
-                out.append(acc)
-    return out
-
-
-def _eigen_ideal_222(entries):
-    """Generators (A x^2)_1 - lam x_1, (A x^2)_2 - lam x_2, x.x - 1 in
-    variables (x1, x2, lam)."""
-
-    def a(i, j, k):
-        return entries[(i - 1) * 4 + (j - 1) * 2 + (k - 1)]
-
-    minus_one = GaussianRational.coerce(-1)
-    g1 = ExactPoly(3, {
-        (2, 0, 0): a(1, 1, 1),
-        (1, 1, 0): a(1, 1, 2) + a(1, 2, 1),
-        (0, 2, 0): a(1, 2, 2),
-        (1, 0, 1): minus_one,
-    })
-    g2 = ExactPoly(3, {
-        (2, 0, 0): a(2, 1, 1),
-        (1, 1, 0): a(2, 1, 2) + a(2, 2, 1),
-        (0, 2, 0): a(2, 2, 2),
-        (0, 1, 1): minus_one,
-    })
-    g3 = ExactPoly(3, {
-        (2, 0, 0): _GR_ONE,
-        (0, 2, 0): _GR_ONE,
-        (0, 0, 0): minus_one,
-    })
-    return g1, g2, g3
-
-
-def _eliminant_candidates(entries):
-    """Iterated-resultant eliminations of x in both variable orders, as
-    univariate coefficient lists in lam; identically-zero results are
-    skipped."""
-    g1, g2, g3 = _eigen_ideal_222(entries)
-    out = []
-    for first, second in ((0, 1), (1, 0)):
-        r1 = sylvester_resultant(g1, g3, first)
-        r2 = sylvester_resultant(g2, g3, first)
-        r = sylvester_resultant(r1, r2, second)
-        if not r.is_zero():
-            out.append(_uni_from_poly(r, 2))
-    return out
-
-
 def _lagrange_at_zero(nodes, values):
     """Exact Lagrange interpolation evaluated at t = 0."""
     total = _GR_ZERO
@@ -651,69 +535,27 @@ def _lagrange_at_zero(nodes, values):
     return total
 
 
-def _even_part_gcd(c: list) -> list:
-    """gcd of g(t) and g(-t); strips odd junk factors, keeps even ones."""
-    reflected = [v if k % 2 == 0 else -v for k, v in enumerate(c)]
-    return _uni_gcd_monic(c, reflected)
-
-
-def _gcd_of_candidates(candidates) -> list:
-    g = candidates[0]
-    for other in candidates[1:]:
-        g = _uni_gcd_monic(g, other)
-    return _even_part_gcd(g)
-
-
-def _has_degree_drop(entries) -> bool:
-    # leading quadratic coefficients of g1, g2 in x1 and in x2
-    keys = (0, 4, 3, 7)  # a111, a211, a122, a222 flat positions
-    return not all(entries[k] for k in keys)
-
-
-def _monic_eliminant_deg6(entries):
-    """Monic even degree-6 eliminant in lam, or None when the instance is
-    too degenerate for the direct elimination.  Returns (coeffs, sheared)."""
-    sheared = False
-    if not _has_degree_drop(entries):
-        candidates = _eliminant_candidates(entries)
-        if candidates:
-            g = _gcd_of_candidates(candidates)
-            if len(g) - 1 == 6:
-                return g, sheared
-    for cs in _SHEAR_ROTATIONS:
-        rotated = _rotate_222(entries, cs)
-        if _has_degree_drop(rotated):
-            continue
-        sheared = True
-        candidates = _eliminant_candidates(rotated)
-        if not candidates:
-            continue
-        g = _gcd_of_candidates(candidates)
-        if len(g) - 1 == 6:
-            return g, sheared
-    return None, sheared
-
-
 def _charpoly_direct(entries):
-    """Anchored charpoly for a generic instance, or None.
-
-    Requires the stripped eliminant to have full degree 6, a nonzero C2
-    anchor, and the constant term to reproduce the negated squared
-    resultant; any miss means the instance sits on a degenerate locus
-    where per-instance elimination is not the specialized universal
-    polynomial.
-    """
+    """Anchored charpoly from one binary resultant, or None when a guard
+    fails: C2 = 0, a vanishing mu^3 coefficient, or C8 != -Res^2."""
     c2 = _c2_closed_form(entries)
     if not c2:
         return None
-    g, sheared = _monic_eliminant_deg6(entries)
-    if g is None:
+    f1, f2 = _quadratics_222(entries)
+    t = ExactPoly.variable(2, 0)
+    mu = ExactPoly.variable(2, 1)
+    ell = t * 3 + 7  # l = 3 x1 + 7 x2
+    cubic = f1 - t * f2  # x2 f1 - x1 f2
+    quartic = mu * ell * ell * (t * t + 1) - (f1 * 3 + f2 * 7) ** 2
+    res = sylvester_resultant(cubic, quartic, 0, 3, 4)
+    r0, r1, r2, lead = (res.terms.get((0, k), _GR_ZERO) for k in range(4))
+    if not lead:
         return None
-    coeffs = [c2 * g[6], c2 * g[4], c2 * g[2], c2 * g[0]]
-    res = _resultant_quadratics_entries(entries)
-    if coeffs[3] != -(res * res):
+    coeffs = [c2, c2 * r2 / lead, c2 * r1 / lead, c2 * r0 / lead]
+    res_q = _resultant_quadratics_entries(entries)
+    if coeffs[3] != -(res_q * res_q):
         return None
-    return ExactCharPoly(*coeffs, shear_used=sheared, anchor="c2")
+    return ExactCharPoly(*coeffs)
 
 
 # fixed generic rational direction for the perturbation fallback
@@ -757,24 +599,36 @@ def _charpoly_perturbed(entries) -> ExactCharPoly:
         _lagrange_at_zero(nodes, [vals[k] for _, vals in samples])
         for k in range(4)
     )
-    return ExactCharPoly(*coeffs, shear_used=False, anchor="perturbation")
+    return ExactCharPoly(*coeffs, anchor="perturbation")
 
 
 def charpoly_exact_2_3(A: Tensor) -> ExactCharPoly:
     """Exact characteristic polynomial of an order-3, dimension-2 tensor.
 
-    Eliminates x from the eigenpair ideal (A x^2 = lam x on x.x = 1) by
-    iterated Sylvester resultants in both variable orders; the gcd of the
-    two orders drops the extraneous factors either one introduces, and
-    the scalar freedom is pinned by anchoring the leading coefficient to
-    its sum-of-squares closed form in the entries.  With that normalization the
-    constant coefficient is the negated square of Res_x(A x^2); the
-    negation is forced by requiring the roots to be the normalized
-    eigenvalues (both signs).  Instances on degenerate loci, where
-    specialization and elimination stop commuting, fall back to exact
-    interpolation along a generic rational perturbation line, so the
-    result is always the specialized universal polynomial; an all-zero
-    result is exactly the singular-tensor condition.
+    With f = A x^2, the eigenvectors are the roots of the binary cubic
+    g = x2 f1 - x1 f2.  Fix the linear form l = 3 x1 + 7 x2.  At a root
+    xi of g, f(xi) = lam xi, so 3 f1 + 7 f2 = lam l(xi), and the binary
+    quartic h = mu l^2 (x.x) - (3 f1 + 7 f2)^2 takes the value
+    l(xi)^2 ((xi.xi) mu - lam^2).  It vanishes exactly at
+    mu = lam^2 / (xi.xi), the squared eigenvalue of xi normalized to
+    x.x = 1.  So Res_x(g, h), a 7x7 Sylvester determinant with entries
+    in mu, is lead * prod_i (mu - mu_i), and the even sextic with roots
+    +-sqrt(mu_i) is C2 * prod_i (t^2 - mu_i), with C2 anchored to its
+    sum-of-squares closed form in the entries.  With that anchoring the
+    constant coefficient is the negated square of Res_x(A x^2).
+
+    By multiplicativity lead = Res(g, l)^2 Res(g, x.x): it vanishes when
+    g = 0 or when an eigenvector is isotropic or lies on l = 0.  Any
+    linear form works off that locus; l is fixed so the result depends
+    on no per-tensor choice, and it is not a coordinate form, which
+    would vanish at the axis eigenvectors of diagonal and sparse tensors.
+
+    When C2 = 0 or lead = 0 the monic cubic cannot fix the sextic, and
+    C8 != -Res^2 would flag a result that is not the specialized
+    universal polynomial.  On those tensors the coefficients come from
+    exact interpolation along a generic rational perturbation line
+    instead.  Either way an all-zero result is exactly the
+    singular-tensor condition.
     """
     entries = _exact_entries_222(A)
     direct = _charpoly_direct(entries)

@@ -176,6 +176,24 @@ def test_charpoly_c8_is_negated_resultant_square():
         assert cp.c8 == -(res * res)
 
 
+def test_resultant_quadratics_sign():
+    # C8 == -Res^2 cannot see the sign of Res, so pin it on known values:
+    # Res_x(x1 x2, x1^2 - x2^2) = -1 and Res_x(x1^2, x2^2) = 1
+    assert resultant_quadratics_2(exact_222([0, 1, 0, 0, 1, 0, 0, -1])) == gr(-1)
+    assert resultant_quadratics_2(exact_222([1, 0, 0, 0, 0, 0, 0, 1])) == gr(1)
+
+
+def test_charpoly_routes():
+    # C2 = 0 here, so the direct route cannot anchor the sextic and the
+    # perturbation fallback gives the nonzero result
+    cp = charpoly_exact_2_3(exact_222([0, 0, 0, -1, -1, 0, 1, -1]))
+    assert cp.coefficients() == (gr(0), gr(0), gr(2), gr(-1))
+    assert cp.anchor == "perturbation"
+    # the diagonal tensor has the axis eigenvectors (1, 0) and (0, 1); the
+    # fixed form 3 x1 + 7 x2 vanishes at neither, so it stays direct
+    assert charpoly_exact_2_3(exact_222([1, 0, 0, 0, 0, 0, 0, 1])).anchor == "c2"
+
+
 def test_charpoly_homogeneity():
     rng = np.random.default_rng(606)
     for _ in range(8):
