@@ -3,9 +3,8 @@
 Fixed points of the map are the eigenvectors with nonzero eigenvalue and
 the base locus collects the eigenvalue-zero ones, so everything here is a
 dynamical reading of the spectral data.  Nilpotency ("some iterate is
-undefined everywhere") is decided by expanding symbolic iterates up to a
-bound, with an honest Undetermined when neither that nor a nonzero
-eigenvalue settles the question.
+undefined everywhere") is decided exactly by one orbit of n steps (see
+``nilpotency``); ``iterate_symbolic`` expands iterates for inspection only.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import GaussianRational, _exact_entries
 from .homotopy import TrackerConfig
 from .polysys import _power_terms
 from .spectra import eigenclasses
@@ -91,9 +91,10 @@ class Orbit:
 class NilpotencyVerdict:
     """Tri-state nilpotency answer.
 
-    ``k`` is the certifying iterate index for a nilpotent verdict and the
-    exhausted bound for an undetermined one; ``witness`` carries a class
-    with nonzero eigenvalue (a fixed point) in the not-nilpotent case.
+    ``k`` is the least vanishing iterate for a nilpotent verdict, 0 for a
+    not-nilpotent one and ``max(kmax, n)`` for an undetermined one;
+    ``witness`` carries a class with nonzero eigenvalue (a fixed point) in
+    the not-nilpotent case.
     """
 
     status: str
@@ -196,29 +197,6 @@ def _compose(base: list[dict], current: list[dict], n: int,
     return out
 
 
-def _iterate_dicts(A: Tensor, k: int, budget: int) -> list[dict]:
-    n = A.n
-    if n * (A.m - 1) ** k > budget:
-        raise TermBudgetError("iterate degree exceeds the term budget")
-    base = [_power_terms(A, j, n) for j in range(n)]
-    current = base
-    for _ in range(k - 1):
-        current = _compose(base, current, n, budget)
-    return current
-
-
-def _is_zero_tuple(polys: list[dict], masses: list[dict]) -> bool:
-    # a structurally vanishing coefficient is a cancelling signed sum of
-    # entry products, so its float residue is bounded by eps times the
-    # total mass of those products -- which the parallel absolute-value
-    # composition accumulates per monomial
-    for poly, mass in zip(polys, masses):
-        for expo, c in poly.items():
-            if abs(c) > 1e-12 * (1.0 + abs(mass.get(expo, 0.0))):
-                return False
-    return True
-
-
 def iterate_symbolic(A: Tensor, k: int, budget: int = TERM_BUDGET) -> tuple:
     """The k-fold composition of x -> A x^{m-1}, fully expanded.
 
@@ -227,37 +205,51 @@ def iterate_symbolic(A: Tensor, k: int, budget: int = TERM_BUDGET) -> tuple:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    deg = (A.m - 1) ** k
-    polys = _iterate_dicts(A, k, budget)
-    return tuple(PolyForm(deg, A.n, poly) for poly in polys)
+    if A.n * (A.m - 1) ** k > budget:
+        raise TermBudgetError("iterate degree exceeds the term budget")
+    base = [_power_terms(A, j, A.n) for j in range(A.n)]
+    current = base
+    for _ in range(k - 1):
+        current = _compose(base, current, A.n, budget)
+    return tuple(PolyForm((A.m - 1) ** k, A.n, poly) for poly in current)
 
 
 def nilpotency(A: Tensor, kmax: int,
                cfg: TrackerConfig | None = None) -> NilpotencyVerdict:
-    """Decide nilpotency up to iterate kmax, without over-claiming.
+    """Decide whether some iterate psi^k of psi: x -> A x^{m-1} is zero.
 
-    Nilpotent(k) when the k-th symbolic iterate vanishes identically;
-    NotNilpotent(witness) when a class with nonzero eigenvalue exists
-    (its point is fixed by every iterate); otherwise Undetermined(kmax).
-    For matrices the bound is raised to n, which is decisive.
+    psi is nilpotent if and only if psi^n = 0, for every m.  The closures
+    V_j of psi^j(C^n) are irreducible cones and V_{j+1} is the closure of
+    psi(V_j), so the chain V_0 >= V_1 >= ... stays put once one inclusion
+    is an equality; a chain that ends at {0} loses a dimension at every
+    step until then, so V_n = {0}.  psi^k is evaluated exactly for
+    k = 1..n at one point whose coordinates have real and imaginary parts
+    drawn from the integers in [-2^20, 2^20) by ``cfg.seed``, with
+    ``A.exact`` as the entries, or else the exact binary value of each
+    stored float.  A nonzero value proves psi^k != 0, and a nonzero psi^k
+    vanishes there with probability at most (m-1)^k / 2^42
+    (Schwartz-Zippel: 2^42 choices per coordinate, degree (m-1)^k).
+
+    Nilpotent(k) for the first, hence least, vanishing k.  Otherwise
+    NotNilpotent(witness) when ``eigenclasses`` finds a class with nonzero
+    eigenvalue (a fixed point of every iterate), else Undetermined with
+    k = max(kmax, n).
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    bound = max(kmax, A.n) if A.m == 2 else kmax
-    try:
-        base = [_power_terms(A, j, A.n) for j in range(A.n)]
-        abs_base = [{e: abs(c) for e, c in poly.items()} for poly in base]
-        current, abs_current = base, abs_base
-        for k in range(1, bound + 1):
-            if k > 1:
-                current = _compose(base, current, A.n, TERM_BUDGET)
-                abs_current = _compose(abs_base, abs_current, A.n, TERM_BUDGET)
-            if _is_zero_tuple(current, abs_current):
-                return NilpotencyVerdict(NILPOTENT, k=k)
-    except TermBudgetError:
-        pass
+    rng = np.random.default_rng((cfg or TrackerConfig()).seed)
+    x = np.array([GaussianRational(int(a), int(b)) for a, b in
+                  rng.integers(-2 ** 20, 2 ** 20, (A.n, 2))], dtype=object)
+    entries = np.array(_exact_entries(A), dtype=object).reshape((A.n,) * A.m)
+    for k in range(1, A.n + 1):
+        v = entries
+        for _ in range(A.m - 1):  # v = A x^{m-1}
+            v = v @ x
+        if not any(v):
+            return NilpotencyVerdict(NILPOTENT, k=k)
+        x = v
     report = eigenclasses(A, cfg)
     for cls in report.classes:
         if abs(complex(cls.representative.lam)) > LAMBDA_ZERO_TOL:
             return NilpotencyVerdict(NOT_NILPOTENT, witness=cls)
-    return NilpotencyVerdict(UNDETERMINED, k=bound)
+    return NilpotencyVerdict(UNDETERMINED, k=max(kmax, A.n))

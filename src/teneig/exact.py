@@ -417,12 +417,16 @@ def sylvester_resultant(p: ExactPoly, q: ExactPoly, var: int,
     return _det_bareiss(rows)
 
 
+def _exact_entries(A: Tensor) -> list:
+    """``A.exact``, else the exact binary value of each stored float."""
+    values = A.flat() if A.exact is None else A.exact
+    return [GaussianRational.coerce(v) for v in values]
+
+
 def _exact_entries_222(A: Tensor):
     if A.m != 3 or A.n != 2:
         raise ValueError(f"expected an order-3 dimension-2 tensor, got m={A.m}, n={A.n}")
-    if A.exact is not None:
-        return [GaussianRational.coerce(v) for v in A.exact]
-    return [GaussianRational.coerce(complex(v)) for v in A.flat()]
+    return _exact_entries(A)
 
 
 def hyperdeterminant_222(A: Tensor) -> GaussianRational:

@@ -1,5 +1,8 @@
 """Tests for the projective self-map: orbits, base loci, nilpotency."""
 
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from teneig.dynamics import (
 from teneig.homotopy import TrackerConfig
 from teneig.spectra import eigenclasses
 from teneig.tensor import ProjPoint, Tensor, apply_power
+from teneig.tensorio import parse_tensor_json
 
 CFG = TrackerConfig()
 
@@ -211,3 +215,45 @@ def test_matrix_nilpotency_matches_power_criterion():
         verdict = nilpotency(T, kmax=1, cfg=CFG)
         truly = np.allclose(np.linalg.matrix_power(M, n), 0.0, atol=1e-10)
         assert verdict.is_nilpotent == truly, (trial, verdict.status)
+
+
+def test_nilpotency_not_fooled_by_high_degree_cancellation():
+    # a float tolerance on expanded iterates of degree 3^6 called these
+    # nilpotent; each has eigenvalues lam != 0, so no iterate can vanish
+    fault = [1, 2, -1, 3, 1, 1, 2, -1, 1, 0, 2, 1, -3, 1, 1, 2]
+    v = nilpotency(Tensor.from_flat(4, 2, fault), kmax=6, cfg=CFG)
+    assert v.status == NOT_NILPOTENT
+    assert abs(v.witness.representative.lam) > 1e-8
+
+    rng = np.random.default_rng(42)
+    for _ in range(5):
+        A = Tensor(4, 2, rng.standard_normal((2,) * 4)
+                   + 1j * rng.standard_normal((2,) * 4))
+        assert nilpotency(A, kmax=6, cfg=CFG).status == NOT_NILPOTENT
+
+    # expanding iterates of degree 3^6 in three variables does not finish;
+    # the exact orbit plus one 27-path solve takes about 0.4 s
+    A = Tensor(4, 3, rng.standard_normal((3,) * 4)
+               + 1j * rng.standard_normal((3,) * 4))
+    start = time.perf_counter()
+    assert nilpotency(A, kmax=6, cfg=CFG).status == NOT_NILPOTENT
+    assert time.perf_counter() - start < 5.0
+
+
+def test_nilpotency_exact_entries_and_least_index():
+    # [[1, 1/3], [-3, -1]] squares to zero only with the exact 1/3
+    text = json.dumps({"m": 2, "n": 2, "encoding": "dense",
+                       "entries": [1, "1/3", -3, -1]})
+    v = nilpotency(parse_tensor_json(text).tensor, kmax=1, cfg=CFG)
+    assert v.status == NILPOTENT and v.k == 2
+    stored = Tensor(2, 2, np.array([[1, 1 / 3], [-3, -1]], dtype=complex))
+    assert not nilpotency(stored, kmax=1, cfg=CFG).is_nilpotent
+
+    for n in (2, 3, 4, 5):
+        shift = Tensor(2, n, np.eye(n, k=1, dtype=complex))
+        v = nilpotency(shift, kmax=1, cfg=CFG)
+        assert v.status == NILPOTENT and v.k == n
+
+    zero = Tensor(3, 3, np.zeros((3, 3, 3), dtype=complex))
+    v = nilpotency(zero, kmax=6, cfg=CFG)
+    assert v.status == NILPOTENT and v.k == 1
