@@ -113,11 +113,9 @@ class RefineResult:
 @dataclass(frozen=True)
 class GroupDiagnostics:
     failed_paths: int
-    at_infinity: int
     trivial_paths: int
     degenerate_clusters: int
     positive_dimensional: bool
-    max_residual: float
 
 
 class _Homotopy:
@@ -460,27 +458,8 @@ def newton_refine(system: PolySystem, point: np.ndarray, max_iter: int = 12,
     return RefineResult(best, best_res, iters, singular)
 
 
-def _matrix_nullspace(mat: np.ndarray, scale: float = 1.0, rtol: float = 1e-8):
-    """Orthonormal nullspace basis columns of a square matrix.
-
-    `scale` floors the rank cutoff so a matrix that is tiny throughout
-    (e.g. A - lam*I at a full eigenspace) reads as all-null rather than
-    full-rank.
-    """
-    _, sv, vh = np.linalg.svd(mat)
-    top = sv[0] if sv.size else 0.0
-    dim = int(np.sum(sv <= rtol * max(top, scale)))
-    if dim == 0:
-        return np.zeros((mat.shape[1], 0))
-    return vh[-dim:].conj().T
-
-
 def _cluster_key(lam: complex, x: np.ndarray):
-    parts = [round(lam.real, 7), round(lam.imag, 7)]
-    for z in x:
-        parts.append(round(z.real, 7))
-        parts.append(round(z.imag, 7))
-    return tuple(parts)
+    return tuple(round(v, 7) for z in (lam, *x) for v in (z.real, z.imag))
 
 
 def _same_class(lam1, x1, lam2, x2, tol: float) -> bool:
@@ -494,60 +473,48 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig,
                        _recheck: bool = True):
     """Cluster converged endpoints into eigenpair classes.
 
-    Returns (classes, GroupDiagnostics).  Multiplicity is cluster size
-    divided by m-2 for m >= 3 (non-divisible sizes are surfaced via the
-    degenerate-cluster counter) and plain cluster size for m = 2.
+    Returns (classes, GroupDiagnostics) for an order m >= 3 tensor.
+    Multiplicity is cluster size divided by m-2 (non-divisible sizes are
+    surfaced via the degenerate-cluster counter).  Suspiciously
+    ill-conditioned clusters are re-solved with a fresh patch to detect
+    positive-dimensional components.
     """
     m, n = A.m, A.n
     k = m - 2
     failed = 0
-    at_inf = 0
     trivial = 0
-    max_res = 0.0
     entries = []            # (canonical pair, raw lam-tilde, residual, cond)
     for out in outcomes:
         if not out.converged:
-            if out.status == DIVERGED and m == 2:
-                at_inf += 1     # Bezout excess of the bilinear system
-            else:
-                failed += 1
+            failed += 1
             continue
-        max_res = max(max_res, out.residual)
         u = out.endpoint
         x = u[:n]
         if np.linalg.norm(x) <= TRIVIAL_X * np.linalg.norm(u):
             trivial += 1
             continue
-        lam = u[n] if m == 2 else u[n] ** k
-        pair = canonicalize(EigenPair(lam, x, residual=out.residual), m)
+        pair = canonicalize(EigenPair(u[n] ** k, x, residual=out.residual), m)
         entries.append((pair, u[n], out.residual, out.condition))
 
     entries.sort(key=lambda e: _cluster_key(e[0].lam, e[0].x))
     clusters: list[list] = []
     for entry in entries:
         pair = entry[0]
-        placed = False
         for cl in clusters:
             rep = cl[0][0]
             if _same_class(rep.lam, rep.x, pair.lam, pair.x, cfg.cluster_radius):
                 cl.append(entry)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([entry])
 
     degenerate = 0
     classes = []
     for cl in clusters:
         size = len(cl)
-        best = min(cl, key=lambda e: e[2])
-        if m == 2:
-            mult = size
-        else:
-            if size % k:
-                degenerate += 1
-            mult = max(1, round(size / k))
-        rep = best[0]
+        degenerate += bool(size % k)
+        mult = max(1, round(size / k))
+        rep = min(cl, key=lambda e: e[2])[0]
         w = rep.x / np.linalg.norm(rep.x)
         iso = bool(abs(w @ w) <= ISOTROPY_TOL)
         cond = max(e[3] for e in cl)
@@ -557,81 +524,16 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig,
                                   cluster_size=size, condition=cond))
 
     positive_dim = False
-    if m == 2 and classes:
-        classes, positive_dim, degenerate = _matrix_eigenspace_fixup(
-            A, classes, cfg, degenerate)
-    elif classes:
-        suspicious = [c for c in classes if c.condition > POSITIVE_DIM_COND]
-        if suspicious and _recheck:
-            positive_dim = _positive_dim_recheck(A, suspicious, cfg)
+    suspicious = [c for c in classes if c.condition > POSITIVE_DIM_COND]
+    if suspicious and _recheck:
+        positive_dim = _positive_dim_recheck(A, suspicious, cfg)
 
     classes.sort(key=lambda c: _cluster_key(c.representative.lam,
                                             c.representative.x))
-    diag = GroupDiagnostics(failed_paths=failed, at_infinity=at_inf,
-                            trivial_paths=trivial,
+    diag = GroupDiagnostics(failed_paths=failed, trivial_paths=trivial,
                             degenerate_clusters=degenerate,
-                            positive_dimensional=positive_dim,
-                            max_residual=max_res)
+                            positive_dimensional=positive_dim)
     return tuple(classes), diag
-
-
-def _matrix_eigenspace_fixup(A: Tensor, classes, cfg: TrackerConfig,
-                             degenerate: int):
-    """m = 2: merge clusters sharing an eigenvalue via the nullspace.
-
-    A repeated eigenvalue with eigenspace dimension d > 1 has no isolated
-    eigenvector classes; the tracker scatters endpoints over the
-    eigenspace.  Replace such groups by d basis classes and flag the
-    report as positive-dimensional.
-    """
-    n = A.n
-    groups: list[list] = []
-    for c in classes:
-        for g in groups:
-            if abs(g[0].representative.lam - c.representative.lam) \
-                    <= 1e-6 * (1.0 + abs(c.representative.lam)):
-                g.append(c)
-                break
-        else:
-            groups.append([c])
-    out = []
-    positive_dim = False
-    mat = A.array
-    for g in groups:
-        lam = g[0].representative.lam
-        needs_check = len(g) > 1 or any(c.condition > POSITIVE_DIM_COND for c in g)
-        if not needs_check:
-            out.extend(g)
-            continue
-        ns = _matrix_nullspace(mat - lam * np.eye(n),
-                               scale=max(1.0, float(np.max(np.abs(mat)))))
-        d = ns.shape[1]
-        if d <= 1:
-            merged_size = sum(c.cluster_size for c in g)
-            if len(g) > 1:
-                degenerate += 1
-            best = min(g, key=lambda c: c.representative.residual
-                       if c.representative.residual is not None else 0.0)
-            out.append(EigenClass(representative=best.representative,
-                                  multiplicity=merged_size,
-                                  isotropic=best.isotropic,
-                                  normalized_lambdas=normalized_eigenvalues(
-                                      best.representative, 2),
-                                  cluster_size=merged_size,
-                                  condition=max(c.condition for c in g)))
-            continue
-        positive_dim = True
-        total = sum(c.cluster_size for c in g)
-        for i in range(d):
-            vec = ns[:, i]
-            pair = canonicalize(EigenPair(lam, vec, residual=0.0), 2)
-            w = pair.x / np.linalg.norm(pair.x)
-            out.append(EigenClass(representative=pair, multiplicity=1,
-                                  isotropic=bool(abs(w @ w) <= ISOTROPY_TOL),
-                                  normalized_lambdas=normalized_eigenvalues(pair, 2),
-                                  cluster_size=total,
-                                  condition=max(c.condition for c in g)))
-    return out, positive_dim, degenerate
 
 
 def _positive_dim_recheck(A: Tensor, suspicious, cfg: TrackerConfig) -> bool:

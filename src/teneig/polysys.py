@@ -2,9 +2,9 @@
 
 A system stores per-equation term lists over the variables
 (x_1, ..., x_n, lam), where lam is the homogenizing eigenvalue variable
-for m >= 3 and the plain eigenvalue for m = 2.  Evaluation and Jacobian
-assembly run off cached dense exponent tables so the path tracker can
-call them in a tight loop.
+of an order m >= 3 tensor.  Evaluation and Jacobian assembly run off
+cached dense exponent tables so the path tracker can call them in a
+tight loop.
 """
 
 from __future__ import annotations
@@ -152,25 +152,23 @@ def _power_terms(A: Tensor, j: int, nvars: int) -> dict:
 def build_eigen_system(A: Tensor) -> PolySystem:
     """The n equations (A x^{m-1})_j - lam^{m-2} x_j over (x, lam).
 
-    Homogeneous of degree m-1 in the n+1 variables for m >= 3.  For
-    m = 2 this is the bilinear system (A x)_j - lam x_j with declared
-    degree 2, supported for n <= 8.
+    Homogeneous of degree m-1 in the n+1 variables.  Matrices (m = 2)
+    raise ValueError: `eigenclasses` reads them off np.linalg.eig.
     """
     m, n = A.m, A.n
-    if m == 2 and n > 8:
-        raise ValueError("matrix eigenproblem supported for n <= 8 only")
+    if m == 2:
+        raise ValueError("matrices have no eigen-system; use eigenclasses")
     v = n + 1
     eqs = []
     for j in range(n):
         acc = _power_terms(A, j, v)
         expo = [0] * v
         expo[j] = 1
-        expo[n] = m - 2 if m >= 3 else 1
+        expo[n] = m - 2
         key = tuple(expo)
         acc[key] = acc.get(key, 0.0 + 0.0j) - 1.0
         eqs.append(tuple((e, c) for e, c in sorted(acc.items()) if c != 0))
-    deg = m - 1 if m >= 3 else 2
-    return PolySystem(n, v, tuple(eqs), (deg,) * n)
+    return PolySystem(n, v, tuple(eqs), (m - 1,) * n)
 
 
 def build_shifted_system(A: Tensor, lam: complex) -> PolySystem:

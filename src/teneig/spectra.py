@@ -1,10 +1,10 @@
 """Spectral reports, closed-form oracles, and singularity probes.
 
 Everything here sits on top of the path tracker: `eigenclasses` runs the
-full pipeline and summarizes it, the remaining operations interpret the
-classes (real representatives, PSD test, numeric characteristic
-polynomial) or probe the tensor with auxiliary square systems
-(`singular_probe`, `zero_eigenvectors`).
+full pipeline (matrices go through np.linalg.eig) and summarizes it; the
+remaining operations interpret the classes (real representatives, PSD
+test, numeric characteristic polynomial) or probe the tensor with
+auxiliary square systems (`singular_probe`, `zero_eigenvectors`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import TrackerConfig, group_into_classes, track_all
+from .homotopy import (TrackerConfig, _cluster_key, group_into_classes,
+                       track_all)
 from .polysys import build_eigen_system, build_shifted_system
 from .tensor import (
     ISOTROPY_TOL,
@@ -157,11 +158,92 @@ def _merge_values(values, tol: float = VALUE_MERGE_TOL) -> tuple:
     return tuple(out)
 
 
+def _matrix_nullspace(mat: np.ndarray, scale: float = 1.0, rtol: float = 1e-8):
+    """Orthonormal nullspace basis columns of a square matrix; `scale` floors
+    the rank cutoff, so a tiny A - lam I reads as all-null, not full-rank."""
+    _, sv, vh = np.linalg.svd(mat)
+    dim = int(np.sum(sv <= rtol * max(sv[0], scale)))
+    return vh[sv.size - dim:].conj().T
+
+
+def _linked(vals: np.ndarray, radius: float) -> list:
+    """Index groups of `vals` joined by single linkage at `radius`."""
+    groups: list[list[int]] = []
+    for i, v in enumerate(vals):
+        near = [g for g in groups if np.min(np.abs(vals[g] - v)) <= radius]
+        groups = [g for g in groups if g not in near] + [[i] + sum(near, [])]
+    return groups
+
+
+def _matrix_classes(A: Tensor, cfg: TrackerConfig):
+    """m = 2: (classes, positive_dimensional, degenerate clusters) by eig.
+
+    Values within `spread(n)`, eig's widest spread of a defective n-fold
+    eigenvalue, are linked.  `one` takes a group g as one eigenvalue, its
+    mean lam, if M - lam I has a d-dimensional nullspace, no value lies
+    beyond spread(b), b = max(2, |g| - d + 1) the longest Jordan block d
+    allows, and each eig eigenvector of g lies within 0.1 of the
+    nullspace, which distinct eigenvalues placed around one fail.  d > 1
+    gives d basis classes and a positive-dimensional report.  Others are
+    linked again at halved radii down to `cfg.cluster_radius`; a group of
+    several values that still fails there is one degenerate cluster.
+    """
+    M, n, scale = A.array, A.n, max(1.0, float(np.max(np.abs(A.array))))
+    vals, vecs = np.linalg.eig(M)
+
+    def spread(b):
+        return 10.0 * scale * (b * np.finfo(float).eps) ** (1.0 / b)
+
+    def one(g):
+        lam = complex(np.mean(vals[g]))
+        null = _matrix_nullspace(M - lam * np.eye(n), scale)
+        off = vecs[:, g] - null @ (null.conj().T @ vecs[:, g])
+        ok = (null.shape[1] and np.max(np.linalg.norm(off, axis=0)) <= 0.1
+              and np.max(np.abs(vals[g] - lam))
+              <= spread(max(2, len(g) - null.shape[1] + 1)))
+        return (lam, null) if ok else None
+
+    found, positive_dim, degenerate = [], False, 0      # (lam, x, multiplicity)
+    todo = [(g, spread(n)) for g in _linked(vals, spread(n))]
+    while todo:
+        g, r = todo.pop()
+        hit = one(g) if len(g) > 1 else None
+        tol = cfg.cluster_radius * (1.0 + float(np.max(np.abs(vals[g]))))
+        if hit is None and len(g) > 1 and r > tol:
+            r = max(r / 2, tol)
+            todo.extend(([g[i] for i in p], r) for p in _linked(vals[g], r))
+        elif hit is None:
+            degenerate += len(g) > 1
+            found.append((np.mean(vals[g]), vecs[:, g[0]], len(g)))
+        elif hit[1].shape[1] == 1:
+            found.append((hit[0], hit[1][:, 0], len(g)))
+        else:
+            positive_dim = True
+            found.extend((hit[0], x, 1) for x in hit[1].T)
+    classes = []
+    for lam, x, mult in found:
+        pair = canonicalize(EigenPair(lam, x), 2)
+        res = float(np.max(np.abs(M @ pair.x - pair.lam * pair.x)))
+        w = pair.x / np.linalg.norm(pair.x)
+        classes.append(EigenClass(EigenPair(pair.lam, pair.x, res), mult,
+                                  bool(abs(w @ w) <= ISOTROPY_TOL),
+                                  normalized_eigenvalues(pair, 2)))
+    classes.sort(key=lambda c: _cluster_key(c.representative.lam, c.representative.x))
+    return tuple(classes), positive_dim, degenerate
+
+
 def eigenclasses(A: Tensor, cfg: TrackerConfig | None = None) -> SpectralReport:
-    """Track all paths of the eigen-system and report the class structure."""
+    """Eigenclasses of A: for m >= 3 from all paths of the eigen-system,
+    for matrices from np.linalg.eig (no size cap)."""
     cfg = cfg or TrackerConfig()
-    outcomes = track_all(build_eigen_system(A), cfg)
-    classes, diag = group_into_classes(outcomes, A, cfg)
+    if A.m == 2:
+        classes, positive_dim, degenerate = _matrix_classes(A, cfg)
+        failed = 0
+    else:
+        classes, diag = group_into_classes(
+            track_all(build_eigen_system(A), cfg), A, cfg)
+        positive_dim, failed = diag.positive_dimensional, diag.failed_paths
+        degenerate = diag.degenerate_clusters
     values: list[complex] = []
     iso = 0
     for c in classes:
@@ -172,11 +254,11 @@ def eigenclasses(A: Tensor, cfg: TrackerConfig | None = None) -> SpectralReport:
         m=A.m, n=A.n, classes=classes,
         expected_count=expected_count(A.m, A.n),
         total_multiplicity=sum(c.multiplicity for c in classes),
-        positive_dimensional=diag.positive_dimensional,
+        positive_dimensional=positive_dim,
         normalized_values=_merge_values(values),
         isotropic_count=iso,
-        failed_paths=diag.failed_paths,
-        degenerate_clusters=diag.degenerate_clusters,
+        failed_paths=failed,
+        degenerate_clusters=degenerate,
     )
 
 
@@ -319,7 +401,7 @@ def characteristic_polynomial_numeric(
     if A.m == 2:
         # matrix eigenspaces are routinely positive-dimensional while the
         # polynomial stays well-defined; require only a full root count
-        if report.failed_paths or report.total_multiplicity != A.n:
+        if report.total_multiplicity != A.n:
             return CharPolyNumeric(parity, indeterminate=True,
                                    reason="incomplete matrix spectrum")
         roots = [complex(c.representative.lam)

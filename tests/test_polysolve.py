@@ -13,6 +13,7 @@ from teneig.homotopy import (
     track_all,
 )
 from teneig.polysys import PolySystem, build_eigen_system, build_shifted_system
+from teneig.spectra import eigenclasses
 from teneig.tensor import EigenPair, Tensor, canonicalize, expected_count
 
 CFG = TrackerConfig()
@@ -219,29 +220,12 @@ def test_newton_refine_fixed_point_and_recovery():
     assert np.max(np.abs(sq.point - [1.0, 0.0])) < 1e-12
 
 
-def test_matrix_case_accounting():
-    rng = np.random.default_rng(7)
-    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    A = Tensor(2, 4, M)
-    outs = track_all(build_eigen_system(A), CFG)
-    assert len(outs) == 2 ** 4
-    cls, dg = group_into_classes(outs, A, CFG)
-    # Bezout 2^n splits as n finite roots + 1 trivial + rest at infinity
-    assert len(cls) == 4
-    assert dg.trivial_paths == 1
-    assert dg.at_infinity == 2 ** 4 - 4 - 1
-    assert not dg.positive_dimensional
-    lams = sorted((c.representative.lam for c in cls), key=lambda z: (z.real, z.imag))
-    want = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
-    assert np.max(np.abs(np.array(lams) - np.array(want))) < 1e-8
-
-
 def test_matrix_identity_eigenspace():
     A = Tensor(2, 3, np.eye(3, dtype=complex))
-    cls, dg = group_into_classes(track_all(build_eigen_system(A), CFG), A, CFG)
-    assert dg.positive_dimensional
-    assert len(cls) == 3
-    for c in cls:
+    rep = eigenclasses(A, CFG)
+    assert rep.positive_dimensional
+    assert len(rep.classes) == 3
+    for c in rep.classes:
         assert abs(c.representative.lam - 1.0) < 1e-8
 
 

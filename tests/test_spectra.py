@@ -265,6 +265,74 @@ def test_matrix_charpoly_against_companion_roots():
         assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-8
 
 
+def test_matrix_defective_eigenvalue_is_one_class():
+    # eig spreads a k-fold defective eigenvalue by about eps^(1/k), far
+    # beyond the cluster radius for k >= 3; it must still be one class
+    rng = np.random.default_rng(58)
+
+    def conjugated(B):
+        S = rng.standard_normal(B.shape)
+        return Tensor(2, len(B), (S @ B @ np.linalg.inv(S)).astype(complex))
+
+    for k in range(2, 6):
+        jordan = 0.5 * np.eye(k) + np.eye(k, k=1)
+        rep = eigenclasses(conjugated(jordan), CFG)
+        assert rep.clean and len(rep.classes) == 1
+        assert rep.classes[0].multiplicity == k
+        assert abs(rep.classes[0].representative.lam - 0.5) < 1e-8
+
+    B = np.diag([0.5, 0.5, 0.5, 2.0, -1.0]) + np.diag([1.0, 1.0, 0, 0], 1)
+    rep = eigenclasses(conjugated(B), CFG)
+    assert rep.clean and rep.total_multiplicity == 5
+    got = sorted((c.representative.lam.real, c.multiplicity) for c in rep.classes)
+    assert [m for _, m in got] == [1, 3, 1]
+    assert np.allclose([lam for lam, _ in got], [-1.0, 0.5, 2.0], atol=1e-8)
+    # a distinct eigenvalue 1e-3 away, linked to a triple one but not part
+    # of it: the group is split again without shattering the triple one
+    B = np.diag([0.5, 0.5, 0.5, 0.501]) + np.diag([1.0, 1.0, 0], 1)
+    rep = eigenclasses(conjugated(B), CFG)
+    got = sorted((c.representative.lam.real, c.multiplicity) for c in rep.classes)
+    assert rep.clean and [m for _, m in got] == [3, 1]
+    assert np.allclose([lam for lam, _ in got], [0.5, 0.501], atol=1e-8)
+
+    # distinct eigenvalues within that spread, placed around one of them,
+    # stay distinct: each matrix gives its exact multiset of eigenvalues
+    for diag in ([0.999, 1, 1.001, 5], [0.999, 1, 1, 1.001], range(1, 10),
+                 [1 - 1e-3, 1, 1 + 1e-3, 1 + 1e-3j, 1 - 1e-3j]):
+        want = np.sort_complex(np.array(diag, dtype=complex))
+        rep = eigenclasses(Tensor(2, len(want), np.diag(want)), CFG)
+        got = np.sort_complex([c.representative.lam for c in rep.classes
+                               for _ in range(c.multiplicity)])
+        assert got.shape == want.shape and np.allclose(got, want, atol=1e-12)
+        assert rep.degenerate_clusters == 0
+        assert rep.positive_dimensional == (len(set(want)) < len(want))
+
+    # near-parallel eigenvectors, but 1e-4 apart: beyond what eig spreads
+    # a defective double eigenvalue by, so two classes
+    B = np.diag([1.0, 1.0 + 1e-4, 5.0, 7.0]) + np.diag([1.0, 0, 0], 1)
+    rep = eigenclasses(Tensor(2, 4, B.astype(complex)), CFG)
+    assert rep.clean and [c.multiplicity for c in rep.classes] == [1, 1, 1, 1]
+
+
+def test_matrix_close_distinct_eigenvalues_are_degenerate():
+    # values closer than --tol with no eigenvector at their mean merge into
+    # one class, counted as a degenerate cluster so the report is not clean
+    rep = eigenclasses(Tensor(2, 2, np.diag([1.0, 1.0 + 1e-7]).astype(complex)), CFG)
+    assert not rep.clean and rep.degenerate_clusters == 1
+    assert [c.multiplicity for c in rep.classes] == [2]
+
+
+def test_matrix_spectrum_has_no_size_cap():
+    rng = np.random.default_rng(59)
+    M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    rep = eigenclasses(Tensor(2, 12, M), CFG)
+    assert rep.clean and rep.total_multiplicity == 12
+    got = sorted((c.representative.lam for c in rep.classes
+                  for _ in range(c.multiplicity)), key=lambda z: (z.real, z.imag))
+    want = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-8
+
+
 def test_charpoly_numeric_matrix_identity():
     cp = characteristic_polynomial_numeric(Tensor(2, 2, np.eye(2, dtype=complex)), CFG)
     assert cp.parity == "lambda"

@@ -56,6 +56,15 @@ def test_tensor_symmetry_flag():
     bumped = S.array.copy()
     bumped[0, 0, 1] += 1e-14
     assert Tensor(3, 2, bumped).is_symmetric
+    # one entry off the diagonal breaks symmetry however large m! n^m is
+    for m, n in ((6, 5), (7, 3)):
+        arr = np.zeros((n,) * m, dtype=complex)
+        arr[(0,) + (1,) * (m - 1)] = 1.0
+        assert not Tensor(m, n, arr).is_symmetric
+        with pytest.raises(ValueError):
+            form_from_tensor(Tensor(m, n, arr))
+    big = PolyForm(7, 3, {(3, 2, 2): 1.0, (7, 0, 0): 2.0, (0, 1, 6): -1.5})
+    assert tensor_from_form(big).is_symmetric
 
 
 def test_expected_count():
