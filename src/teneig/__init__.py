@@ -25,7 +25,6 @@ from .homotopy import (
     PathOutcome,
     TrackerConfig,
     group_into_classes,
-    newton_refine,
     track_all,
 )
 from .spectra import (
@@ -49,7 +48,6 @@ from .dynamics import (
     NilpotencyVerdict,
     Orbit,
     base_locus,
-    iterate_symbolic,
     nilpotency,
     orbit,
     psi,

@@ -3,8 +3,8 @@
 Fixed points of the map are the eigenvectors with nonzero eigenvalue and
 the base locus collects the eigenvalue-zero ones, so everything here is a
 dynamical reading of the spectral data.  Nilpotency ("some iterate is
-undefined everywhere") is decided exactly by one orbit of n steps (see
-``nilpotency``); ``iterate_symbolic`` expands iterates for inspection only.
+undefined everywhere") is decided exactly by one orbit of n steps, in
+Gaussian rationals (see ``nilpotency``); no iterate is ever expanded.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import numpy as np
 
 from .exact import GaussianRational, _exact_entries
 from .homotopy import TrackerConfig
-from .polysys import _power_terms
 from .spectra import eigenclasses
 from .tensor import (
     LAMBDA_ZERO_TOL,
     EigenClass,
-    PolyForm,
     ProjPoint,
     Tensor,
     apply_power,
@@ -31,11 +29,9 @@ __all__ = [
     "BaseLocusHit",
     "Orbit",
     "NilpotencyVerdict",
-    "TermBudgetError",
     "psi",
     "orbit",
     "base_locus",
-    "iterate_symbolic",
     "nilpotency",
     "NILPOTENT",
     "NOT_NILPOTENT",
@@ -44,15 +40,10 @@ __all__ = [
 
 BASE_LOCUS_TOL = 1e-12          # |A x^{m-1}| below this (unit x) is a base point
 FIXED_POINT_TOL = 1e-10         # successive orbit points closer than this stop
-TERM_BUDGET = 10 ** 6           # cap on expanded terms in symbolic iterates
 
 NILPOTENT = "nilpotent"
 NOT_NILPOTENT = "not_nilpotent"
 UNDETERMINED = "undetermined"
-
-
-class TermBudgetError(RuntimeError):
-    """Symbolic iterate would exceed the expanded-term budget."""
 
 
 @dataclass(frozen=True)
@@ -152,66 +143,6 @@ def base_locus(A: Tensor, cfg: TrackerConfig | None = None) -> tuple:
     report = eigenclasses(A, cfg)
     return tuple(ProjPoint(c.representative.x) for c in report.classes
                  if abs(complex(c.representative.lam)) <= LAMBDA_ZERO_TOL)
-
-
-def _pmul(f: dict, g: dict, budget: int) -> dict:
-    out: dict[tuple, complex] = {}
-    for ea, ca in f.items():
-        for eb, cb in g.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            out[key] = out.get(key, 0j) + ca * cb
-            if len(out) > budget:
-                raise TermBudgetError(f"more than {budget} expanded terms")
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _compose(base: list[dict], current: list[dict], n: int,
-             budget: int) -> list[dict]:
-    """Substitute the `current` coordinate polynomials into `base`."""
-    one = {(0,) * n: 1.0 + 0j}
-    # cache powers of each current coordinate up to the needed exponent
-    maxe = [0] * n
-    for poly in base:
-        for expo in poly:
-            for i, e in enumerate(expo):
-                maxe[i] = max(maxe[i], e)
-    powers: list[list[dict]] = []
-    for i in range(n):
-        row = [one]
-        for _ in range(maxe[i]):
-            row.append(_pmul(row[-1], current[i], budget))
-        powers.append(row)
-    out = []
-    for poly in base:
-        acc: dict[tuple, complex] = {}
-        for expo, coeff in poly.items():
-            term = {(0,) * n: coeff}
-            for i, e in enumerate(expo):
-                if e:
-                    term = _pmul(term, powers[i][e], budget)
-            for key, c in term.items():
-                acc[key] = acc.get(key, 0j) + c
-            if len(acc) > budget:
-                raise TermBudgetError(f"more than {budget} expanded terms")
-        out.append({e: c for e, c in acc.items() if c != 0})
-    return out
-
-
-def iterate_symbolic(A: Tensor, k: int, budget: int = TERM_BUDGET) -> tuple:
-    """The k-fold composition of x -> A x^{m-1}, fully expanded.
-
-    Returns one homogeneous PolyForm of degree (m-1)^k per coordinate.
-    Raises TermBudgetError when the expansion would exceed ``budget``.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if A.n * (A.m - 1) ** k > budget:
-        raise TermBudgetError("iterate degree exceeds the term budget")
-    base = [_power_terms(A, j, A.n) for j in range(A.n)]
-    current = base
-    for _ in range(k - 1):
-        current = _compose(base, current, A.n, budget)
-    return tuple(PolyForm((A.m - 1) ** k, A.n, poly) for poly in current)
 
 
 def nilpotency(A: Tensor, kmax: int,

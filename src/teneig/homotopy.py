@@ -103,14 +103,6 @@ class PathOutcome:
 
 
 @dataclass(frozen=True)
-class RefineResult:
-    point: np.ndarray
-    residual: float
-    iterations: int
-    singular: bool
-
-
-@dataclass(frozen=True)
 class GroupDiagnostics:
     failed_paths: int
     trivial_paths: int
@@ -424,38 +416,6 @@ def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]
     """Track every total-degree path of the system; one outcome per path."""
     hom = _materialize(system, cfg)
     return tuple(_track_one(hom, u0, cfg) for u0 in hom.start_points())
-
-
-def newton_refine(system: PolySystem, point: np.ndarray, max_iter: int = 12,
-                  patch: np.ndarray | None = None) -> RefineResult:
-    """Polish a root of the target system (with optional patch row).
-
-    Runs plain Newton until the update is below the refinement target or
-    max_iter is reached; a singular Jacobian returns the input flagged.
-    """
-    pv = None if patch is None else np.asarray(patch, dtype=np.complex128)
-    hom = _Homotopy(system, 1.0 + 0.0j,
-                    np.zeros(system.neq, dtype=np.complex128), pv)
-    u = np.asarray(point, dtype=np.complex128).copy()
-    best = u.copy()
-    best_res = hom.target_residual(u)
-    singular = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        H, J = hom.value_jac(u, 1.0)
-        try:
-            du = np.linalg.solve(J, -H)
-        except np.linalg.LinAlgError:
-            singular = True
-            break
-        u = u + du
-        res = hom.target_residual(u)
-        if res < best_res:
-            best, best_res = u.copy(), res
-        if np.max(np.abs(du)) <= REFINE_TARGET * (1.0 + np.max(np.abs(u))):
-            break
-    best.setflags(write=False)
-    return RefineResult(best, best_res, iters, singular)
 
 
 def _cluster_key(lam: complex, x: np.ndarray):

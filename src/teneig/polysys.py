@@ -1,152 +1,87 @@
 """Polynomial systems for tensor eigenproblems.
 
-A system stores per-equation term lists over the variables
-(x_1, ..., x_n, lam), where lam is the homogenizing eigenvalue variable
-of an order m >= 3 tensor.  Evaluation and Jacobian assembly run off
-cached dense exponent tables so the path tracker can call them in a
-tight loop.
+A system holds the tensor and evaluates A x^{m-1} by contraction.  With
+no fixed eigenvalue it is the homogenized eigen-system over (x, lam) of
+an order m >= 3 tensor; with one it is the square shifted system.  The
+tensor is symmetrized over modes 2..m once, so that a single chain of
+m-2 contractions gives both the values and the Jacobian the path
+tracker calls in a tight loop.
 """
 
 from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .tensor import Tensor
 
-Term = tuple[tuple[int, ...], complex]
+
+def _symmetrize_tail(a: np.ndarray) -> np.ndarray:
+    """The mean of ``a`` over all permutations of its axes 1..ndim-1.
+
+    Grows the symmetric block one axis k at a time: the transpositions
+    (j k), j < k, and the identity are coset representatives of the
+    permutations of axes 1..k-1 in those of 1..k, so k - 1 swaps per
+    axis, about m^2/2 in all, replace the (m-1)! permutations.
+    """
+    s = a
+    for k in range(2, a.ndim):
+        s = (s + sum(np.swapaxes(s, j, k) for j in range(1, k))) / k
+    return np.ascontiguousarray(s)
 
 
-class _EvalTables:
-    """Stacked exponent/coefficient arrays shared by value and Jacobian."""
-
-    def __init__(self, neq: int, nvars: int, equations) -> None:
-        rows: list[tuple[int, ...]] = []
-        coeffs: list[complex] = []
-        starts: list[int] = []
-        for eq in equations:
-            starts.append(len(rows))
-            if not eq:
-                # keep one zero row so reduceat segments stay aligned
-                rows.append((0,) * nvars)
-                coeffs.append(0.0)
-                continue
-            for expo, c in eq:
-                rows.append(expo)
-                coeffs.append(c)
-        self.E = np.array(rows, dtype=np.int64)
-        self.c = np.array(coeffs, dtype=np.complex128)
-        self.starts = np.array(starts, dtype=np.intp)
-        self.cols = np.arange(nvars)[None, :]
-        self.maxdeg = int(self.E.max(initial=0))
-        self.neq = neq
-        self.nvars = nvars
-        # value and derivative tables stacked into one block per output
-        # column: block 0 is E itself, block 1+j has the exponent of var j
-        # dropped and the coefficient scaled by it, so one gather, one prod
-        # and one reduceat give F and every column of J
-        nrows = len(rows)
-        blocks_E = [self.E]
-        blocks_c = [self.c]
-        for j in range(nvars):
-            Ej = self.E.copy()
-            blocks_c.append(self.c * Ej[:, j])
-            Ej[:, j] = np.maximum(Ej[:, j] - 1, 0)
-            blocks_E.append(Ej)
-        self.EJ = np.concatenate(blocks_E)
-        self.cJ = np.concatenate(blocks_c)
-        self.startsJ = (self.starts[None, :]
-                        + nrows * np.arange(nvars + 1)[:, None]).reshape(-1)
-
-    def _powers(self, u: np.ndarray) -> np.ndarray:
-        pw = np.empty((self.maxdeg + 1, self.nvars), dtype=np.complex128)
-        pw[0] = 1.0
-        for k in range(1, self.maxdeg + 1):
-            pw[k] = pw[k - 1] * u
-        return pw
-
-    def value(self, u: np.ndarray) -> np.ndarray:
-        pw = self._powers(u)
-        mono = np.prod(pw[self.E, self.cols], axis=1) * self.c
-        return np.add.reduceat(mono, self.starts)
-
-    def value_jacobian(self, u: np.ndarray):
-        pw = self._powers(u)
-        mono = np.prod(pw[self.EJ, self.cols], axis=1) * self.cJ
-        out = np.add.reduceat(mono, self.startsJ).reshape(self.nvars + 1,
-                                                           self.neq)
-        return out[0], out[1:].T.copy()
-
-
-@dataclass(frozen=True)
 class PolySystem:
-    """Polynomial system with declared per-equation degrees.
+    """F = S x^{m-1} - lam^{m-2} x over (x, lam), or S x^{m-1} - lam x.
 
-    nvars == neq is a square system; nvars == neq + 1 is a homogeneous
-    (or affine-deficient) system that the tracker closes with a linear
-    patch.
+    ``lam=None`` gives the eigen-system: n equations homogeneous of
+    degree m-1 in n+1 variables, closed by the tracker's linear patch.
+    A fixed ``lam`` gives the square system in x alone.  S is the
+    tensor symmetrized over modes 2..m; it has the same S x^{m-1} as the
+    tensor, and its x-Jacobian is (m-1) S x^{m-2} - lam^{m-2} I.
     """
 
-    neq: int
-    nvars: int
-    equations: tuple
-    degrees: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.equations) != self.neq or len(self.degrees) != self.neq:
-            raise ValueError("equation/degree count mismatch")
-        if any(d < 1 for d in self.degrees):
-            raise ValueError("declared degrees must be positive")
-        for eq, d in zip(self.equations, self.degrees):
-            for expo, _ in eq:
-                if len(expo) != self.nvars:
-                    raise ValueError("exponent arity mismatch")
-                if sum(expo) > d:
-                    raise ValueError("term degree exceeds declared degree")
-
-    @cached_property
-    def _tables(self) -> _EvalTables:
-        return _EvalTables(self.neq, self.nvars, self.equations)
-
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """Values of all equations at u (complex vector of length nvars)."""
-        u = np.asarray(u, dtype=np.complex128)
-        return self._tables.value(u)
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.complex128)
-        return self._tables.value_jacobian(u)[1]
-
-    def value_and_jacobian(self, u: np.ndarray):
-        u = np.asarray(u, dtype=np.complex128)
-        return self._tables.value_jacobian(u)
+    def __init__(self, tensor: Tensor, lam: complex | None = None) -> None:
+        if lam is None and tensor.m == 2:
+            raise ValueError("matrices have no eigen-system; use eigenclasses")
+        self.tensor = tensor
+        self.lam = None if lam is None else complex(lam)
+        self.neq = tensor.n
+        self.nvars = tensor.n + (lam is None)
+        self.degrees = (tensor.m - 1,) * tensor.n
+        self._sym = _symmetrize_tail(tensor.array).reshape(-1)
 
     @property
     def total_degree(self) -> int:
         """Bezout number: product of declared degrees."""
-        out = 1
-        for d in self.degrees:
-            out *= d
-        return out
+        return (self.tensor.m - 1) ** self.neq
 
+    def _contract(self, u: np.ndarray):
+        """(x, S x^{m-2} as an n-by-n matrix, lam^{m-2} or the fixed lam)."""
+        m, n = self.tensor.m, self.neq
+        x = u[:n]
+        v = self._sym
+        for _ in range(m - 2):
+            v = v.reshape(-1, n) @ x
+        shift = self.lam if self.lam is not None else u[n] ** (m - 3) * u[n]
+        return x, v.reshape(n, n), shift
 
-def _power_terms(A: Tensor, j: int, nvars: int) -> dict:
-    """Terms of (A x^{m-1})_j as exponent-over-nvars -> coefficient."""
-    acc: dict[tuple[int, ...], complex] = {}
-    n = A.n
-    for tail in itertools.product(range(n), repeat=A.m - 1):
-        cval = complex(A.array[(j,) + tail])
-        if cval == 0:
-            continue
-        expo = [0] * nvars
-        for i in tail:
-            expo[i] += 1
-        key = tuple(expo)
-        acc[key] = acc.get(key, 0.0 + 0.0j) + cval
-    return acc
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Values of all equations at u (complex vector of length nvars)."""
+        x, M, shift = self._contract(np.asarray(u, dtype=np.complex128))
+        return M @ x - shift * x
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        return self.value_and_jacobian(u)[1]
+
+    def value_and_jacobian(self, u: np.ndarray):
+        u = np.asarray(u, dtype=np.complex128)
+        x, M, shift = self._contract(u)
+        m, n = self.tensor.m, self.neq
+        J = np.empty((n, self.nvars), dtype=np.complex128)
+        np.multiply(M, m - 1, out=J[:, :n])
+        J.reshape(-1)[:: self.nvars + 1][:n] -= shift     # diagonal of J_x
+        if self.lam is None:
+            J[:, n] = -(m - 2) * u[n] ** (m - 3) * x
+        return M @ x - shift * x, J
 
 
 def build_eigen_system(A: Tensor) -> PolySystem:
@@ -155,31 +90,9 @@ def build_eigen_system(A: Tensor) -> PolySystem:
     Homogeneous of degree m-1 in the n+1 variables.  Matrices (m = 2)
     raise ValueError: `eigenclasses` reads them off np.linalg.eig.
     """
-    m, n = A.m, A.n
-    if m == 2:
-        raise ValueError("matrices have no eigen-system; use eigenclasses")
-    v = n + 1
-    eqs = []
-    for j in range(n):
-        acc = _power_terms(A, j, v)
-        expo = [0] * v
-        expo[j] = 1
-        expo[n] = m - 2
-        key = tuple(expo)
-        acc[key] = acc.get(key, 0.0 + 0.0j) - 1.0
-        eqs.append(tuple((e, c) for e, c in sorted(acc.items()) if c != 0))
-    return PolySystem(n, v, tuple(eqs), (m - 1,) * n)
+    return PolySystem(A)
 
 
 def build_shifted_system(A: Tensor, lam: complex) -> PolySystem:
     """Square system A x^{m-1} - lam * x = 0 at a fixed eigenvalue guess."""
-    m, n = A.m, A.n
-    eqs = []
-    for j in range(n):
-        acc = _power_terms(A, j, n)
-        expo = [0] * n
-        expo[j] = 1
-        key = tuple(expo)
-        acc[key] = acc.get(key, 0.0 + 0.0j) - complex(lam)
-        eqs.append(tuple((e, c) for e, c in sorted(acc.items()) if c != 0))
-    return PolySystem(n, n, tuple(eqs), (m - 1,) * n)
+    return PolySystem(A, lam)

@@ -394,29 +394,25 @@ def characteristic_polynomial_numeric(
     Roots are taken with class multiplicities, in lambda for even order
     and in mu = lambda^2 for odd order.  Isotropic classes contribute no
     root (the degree drops below the expected count); a positive-
-    dimensional or failed run yields an indeterminate marker.
+    dimensional or failed run yields an indeterminate marker.  A matrix
+    gets det(lam I - M) from np.poly, never indeterminate.
     """
-    report = eigenclasses(A, cfg)
     parity = "lambda" if A.m % 2 == 0 else "mu"
     if A.m == 2:
-        # matrix eigenspaces are routinely positive-dimensional while the
-        # polynomial stays well-defined; require only a full root count
-        if report.total_multiplicity != A.n:
-            return CharPolyNumeric(parity, indeterminate=True,
-                                   reason="incomplete matrix spectrum")
-        roots = [complex(c.representative.lam)
-                 for c in report.classes for _ in range(c.multiplicity)]
-    else:
-        if not report.clean:
-            return CharPolyNumeric(parity, indeterminate=True,
-                                   reason="positive-dimensional or failed run")
-        roots = []
-        for c in report.classes:
-            if c.isotropic:
-                continue
-            v = complex(c.normalized_lambdas[0])
-            root = v if A.m % 2 == 0 else v * v
-            roots.extend([root] * c.multiplicity)
+        coeffs = np.poly(A.array)
+        return CharPolyNumeric(parity, tuple(complex(c) for c in coeffs),
+                               degree=A.n)
+    report = eigenclasses(A, cfg)
+    if not report.clean:
+        return CharPolyNumeric(parity, indeterminate=True,
+                               reason="positive-dimensional or failed run")
+    roots = []
+    for c in report.classes:
+        if c.isotropic:
+            continue
+        v = complex(c.normalized_lambdas[0])
+        root = v if A.m % 2 == 0 else v * v
+        roots.extend([root] * c.multiplicity)
     coeffs = np.atleast_1d(np.poly(np.asarray(roots, dtype=np.complex128)))
     return CharPolyNumeric(parity, tuple(complex(c) for c in coeffs),
                            degree=len(roots))

@@ -1,6 +1,9 @@
 """Tests for the tensor file format and the command-line interface."""
 
+import functools
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +274,16 @@ def test_cli_seed_and_tol_flags(tmp_path, capsys):
     assert main(["eig", path, "--seed", "12345", "--tol", "1e-5"]) == OK
     out = capsys.readouterr().out
     assert "total multiplicity 3 / 3" in out
+
+
+def test_perfbench_traced_names_resolve():
+    # the benchmark's traced pass wraps these by name; a rename in teneig
+    # would otherwise surface only as a crash of `--trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr in tracing.TRACED:
+        owner = importlib.import_module(module)
+        assert callable(functools.reduce(getattr, attr.split("."), owner)), \
+            (module, attr)

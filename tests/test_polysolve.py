@@ -1,5 +1,7 @@
 """Tests for system construction and the homotopy path tracker."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,12 @@ from teneig.homotopy import (
     TrackerConfig,
     _materialize,
     group_into_classes,
-    newton_refine,
     track_all,
 )
 from teneig.polysys import PolySystem, build_eigen_system, build_shifted_system
 from teneig.spectra import eigenclasses
-from teneig.tensor import EigenPair, Tensor, canonicalize, expected_count
+from teneig.tensor import EigenPair, Tensor, apply_power, canonicalize, expected_count
+from teneig.tensorio import parse_tensor_json
 
 CFG = TrackerConfig()
 
@@ -47,30 +49,49 @@ def assert_jacobian_matches_fd(system, u):
         assert np.max(np.abs(J[:, j] - fd)) < 1e-5 * (1 + np.max(np.abs(J[:, j])))
 
 
+def motzkin_tensor():
+    form = {"m": 6, "n": 3, "encoding": "form",
+            "entries": [{"exponents": [4, 2, 0], "coeff": 1},
+                        {"exponents": [2, 4, 0], "coeff": 1},
+                        {"exponents": [2, 2, 2], "coeff": -3},
+                        {"exponents": [0, 0, 6], "coeff": 1}]}
+    return parse_tensor_json(json.dumps(form)).tensor
+
+
 def test_eigen_system_shape_and_degrees():
     rng = np.random.default_rng(1)
     for m, n in [(3, 2), (4, 3), (5, 2)]:
-        sysA = build_eigen_system(rand_tensor(m, n, rng))
+        A = rand_tensor(m, n, rng)
+        sysA = build_eigen_system(A)
         assert sysA.neq == n and sysA.nvars == n + 1
         assert sysA.degrees == (m - 1,) * n
         assert sysA.total_degree == (m - 1) ** n
-        # every equation homogeneous of degree m-1 in (x, lam)
-        for eq in sysA.equations:
-            assert all(sum(expo) == m - 1 for expo, _ in eq)
+        # every equation homogeneous of degree m-1 in (x, lam), and its
+        # Jacobian of degree m-2 (Euler: J u = (m-1) F)
+        u = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        c = 0.7 - 1.3j
+        F, J = sysA.value_and_jacobian(u)
+        Fc, Jc = sysA.value_and_jacobian(c * u)
+        scale = 1 + np.max(np.abs(Fc))
+        assert np.max(np.abs(Fc - c ** (m - 1) * F)) < 1e-12 * scale
+        assert np.max(np.abs(Jc - c ** (m - 2) * J)) < 1e-12 * scale
+        assert np.max(np.abs(J @ u - (m - 1) * F)) < 1e-12 * (1 + np.max(np.abs(F)))
 
 
 def test_eigen_system_evaluation_matches_contraction():
+    # (5,2) and (6,3) random tensors are far from symmetric in modes 2..m,
+    # so their Jacobians test the symmetrization; Motzkin is sparse
     rng = np.random.default_rng(2)
-    A = rand_tensor(3, 3, rng)
-    sysA = build_eigen_system(A)
-    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    lam = complex(rng.standard_normal(), rng.standard_normal())
-    u = np.concatenate([x, [lam]])
-    from teneig.tensor import apply_power
-    want = apply_power(A, x) - lam ** (A.m - 2) * x
-    assert np.max(np.abs(sysA.evaluate(u) - want)) < 1e-12 * (1 + np.max(np.abs(want)))
+    for A in [rand_tensor(3, 3, rng), rand_tensor(5, 2, rng),
+              rand_tensor(6, 3, rng), motzkin_tensor()]:
+        sysA = build_eigen_system(A)
+        x = rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n)
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        u = np.concatenate([x, [lam]])
+        want = apply_power(A, x) - lam ** (A.m - 2) * x
+        assert np.max(np.abs(sysA.evaluate(u) - want)) < 1e-12 * (1 + np.max(np.abs(want)))
 
-    assert_jacobian_matches_fd(sysA, u)
+        assert_jacobian_matches_fd(sysA, u)
 
 
 def test_shifted_system_is_square():
@@ -79,45 +100,50 @@ def test_shifted_system_is_square():
     sysS = build_shifted_system(A, 0.7 + 0.2j)
     assert sysS.neq == sysS.nvars == 2
     x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    from teneig.tensor import apply_power
     want = apply_power(A, x) - (0.7 + 0.2j) * x
     assert np.max(np.abs(sysS.evaluate(x) - want)) < 1e-12 * (1 + np.max(np.abs(want)))
 
 
 def test_jacobian_square_and_empty_equations():
     rng = np.random.default_rng(5)
-    for m, n in [(3, 2), (4, 3)]:
+    for m, n in [(3, 2), (4, 3), (5, 2), (6, 3)]:
         A = rand_tensor(m, n, rng)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert_jacobian_matches_fd(build_shifted_system(A, 0.3 - 1.1j), x)
 
-    # zero tensor at lam = 0: every equation is empty and keeps one zero
-    # row in the evaluation tables
+    # zero tensor at lam = 0: every equation and every derivative vanishes
     zero = Tensor(3, 3, np.zeros((3, 3, 3), dtype=complex))
     sysZ = build_shifted_system(zero, 0.0)
-    assert all(not eq for eq in sysZ.equations)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     F, J = sysZ.value_and_jacobian(x)
+    assert J.shape == (3, 3)
     assert not np.any(F) and not np.any(J)
     assert_jacobian_matches_fd(sysZ, x)
 
-    # one empty equation between nonempty ones keeps the segments aligned
+    # one empty equation between nonempty ones leaves the others intact
     arr = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
     arr[1] = 0.0
-    sysE = build_shifted_system(Tensor(3, 3, arr), 0.0)
-    assert [bool(eq) for eq in sysE.equations] == [True, False, True]
+    A = Tensor(3, 3, arr)
+    sysE = build_shifted_system(A, 0.0)
     F, J = sysE.value_and_jacobian(x)
     assert F[1] == 0 and not np.any(J[1])
+    assert np.all(F[[0, 2]] != 0) and np.all(J[[0, 2]] != 0)
+    assert np.max(np.abs(F - apply_power(A, x))) < 1e-12 * np.max(np.abs(F))
     assert_jacobian_matches_fd(sysE, x)
 
 
 def test_polysystem_validation():
     with pytest.raises(ValueError):
-        PolySystem(1, 2, ((((3, 0), 1.0),),), (2,))  # term degree above declared
+        build_eigen_system(Tensor(2, 9, np.eye(9, dtype=complex)))  # no eigen-system at m=2
     with pytest.raises(ValueError):
-        PolySystem(2, 2, ((((1, 0), 1.0),),), (1, 1))  # count mismatch
-    with pytest.raises(ValueError):
-        build_eigen_system(Tensor(2, 9, np.eye(9, dtype=complex)))  # n > 8 at m=2
+        PolySystem(Tensor(2, 2, np.eye(2, dtype=complex)))
+    # a matrix's shifted system is linear: F = (M - lam I) x, J = M - lam I
+    M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    sysM = build_shifted_system(Tensor(2, 2, M), 0.5)
+    assert sysM.degrees == (1, 1) and sysM.total_degree == 1
+    x = np.array([1.0 - 1j, 2.0])
+    F, J = sysM.value_and_jacobian(x)
+    assert np.allclose(J, M - 0.5 * np.eye(2)) and np.allclose(F, J @ x)
 
 
 def test_start_solutions_satisfy_start_system():
@@ -192,32 +218,6 @@ def test_cluster_orbit_structure():
             assert abs(zeta ** jz - r) < 1e-6
             hits.add(jz)
         assert hits == set(range(k))
-
-
-def test_newton_refine_fixed_point_and_recovery():
-    A = diag_tensor([1.0, 1.0], 3)
-    sysA = build_eigen_system(A)
-    patch = np.array([0.0, 0.0, 1.0], dtype=complex)  # chart lam-tilde = 1
-    exact = np.array([1.0, 0.0, 1.0], dtype=complex)  # x=(1,0), lam-tilde=1
-    out = newton_refine(sysA, exact, patch=patch)
-    assert not out.singular
-    assert np.max(np.abs(out.point - exact)) < 1e-12
-
-    perturbed = exact + 1e-4
-    rec = newton_refine(sysA, perturbed, patch=patch)
-    assert np.max(np.abs(rec.point - exact)) < 1e-12
-    assert rec.residual < 1e-12
-
-    # the trivial solution x=0 is nonsingular when lam-tilde != 0
-    tr = newton_refine(sysA, np.array([1e-3, -1e-3, 0.9 + 0.1j]), patch=patch)
-    assert not tr.singular
-    assert np.max(np.abs(tr.point[:2])) < 1e-12
-
-    # square system needs no patch
-    sysS = build_shifted_system(A, 1.0)
-    sq = newton_refine(sysS, np.array([1.0 + 1e-5, 1e-5], dtype=complex))
-    assert not sq.singular
-    assert np.max(np.abs(sq.point - [1.0, 0.0])) < 1e-12
 
 
 def test_matrix_identity_eigenspace():

@@ -339,6 +339,11 @@ def test_charpoly_numeric_matrix_identity():
     assert not cp.indeterminate
     assert np.allclose(cp.coeffs, [1, -2, 1], atol=1e-8)
     assert abs(cp(1.0)) < 1e-8
+    # J_2(1) + 1: two eigenvector classes, yet the polynomial is (lam - 1)^3
+    J = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)
+    cp = characteristic_polynomial_numeric(Tensor(2, 3, J), CFG)
+    assert not cp.indeterminate and cp.degree == 3
+    assert np.allclose(cp.coeffs, [1, -3, 3, -1], atol=1e-12)
 
 
 def test_charpoly_numeric_generic_m3():
