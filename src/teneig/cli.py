@@ -186,8 +186,9 @@ def cmd_dynamics(args) -> int:
     loaded = load_tensor(args.input)
     A = loaded.tensor
     cfg = _config(args)
-    verdict = nilpotency(A, kmax=args.kmax, cfg=cfg)
-    locus = base_locus(A, cfg)
+    report = eigenclasses(A, cfg)
+    verdict = nilpotency(A, kmax=args.kmax, cfg=cfg, report=report)
+    locus = base_locus(A, cfg, report=report)
     trace = None
     if args.start:
         p0 = [complex(s) for s in args.start.split(",")]

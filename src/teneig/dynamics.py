@@ -15,7 +15,7 @@ import numpy as np
 
 from .exact import GaussianRational, _exact_entries
 from .homotopy import TrackerConfig
-from .spectra import eigenclasses
+from .spectra import SpectralReport, eigenclasses
 from .tensor import (
     LAMBDA_ZERO_TOL,
     EigenClass,
@@ -138,15 +138,18 @@ def orbit(A: Tensor, p0, kmax: int) -> Orbit:
     return Orbit(points=tuple(pts))
 
 
-def base_locus(A: Tensor, cfg: TrackerConfig | None = None) -> tuple:
-    """Projective points of the eigenvalue-zero classes (map undefined)."""
-    report = eigenclasses(A, cfg)
+def base_locus(A: Tensor, cfg: TrackerConfig | None = None,
+               report: SpectralReport | None = None) -> tuple:
+    """Projective points of the eigenvalue-zero classes (map undefined);
+    ``report`` may pass in ``eigenclasses(A, cfg)`` already computed."""
+    if report is None:
+        report = eigenclasses(A, cfg)
     return tuple(ProjPoint(c.representative.x) for c in report.classes
                  if abs(complex(c.representative.lam)) <= LAMBDA_ZERO_TOL)
 
 
-def nilpotency(A: Tensor, kmax: int,
-               cfg: TrackerConfig | None = None) -> NilpotencyVerdict:
+def nilpotency(A: Tensor, kmax: int, cfg: TrackerConfig | None = None,
+               report: SpectralReport | None = None) -> NilpotencyVerdict:
     """Decide whether some iterate psi^k of psi: x -> A x^{m-1} is zero.
 
     psi is nilpotent if and only if psi^n = 0, for every m.  The closures
@@ -164,7 +167,7 @@ def nilpotency(A: Tensor, kmax: int,
     Nilpotent(k) for the first, hence least, vanishing k.  Otherwise
     NotNilpotent(witness) when ``eigenclasses`` finds a class with nonzero
     eigenvalue (a fixed point of every iterate), else Undetermined with
-    k = max(kmax, n).
+    k = max(kmax, n); ``report`` may pass in ``eigenclasses(A, cfg)``.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -179,7 +182,8 @@ def nilpotency(A: Tensor, kmax: int,
         if not any(v):
             return NilpotencyVerdict(NILPOTENT, k=k)
         x = v
-    report = eigenclasses(A, cfg)
+    if report is None:
+        report = eigenclasses(A, cfg)
     for cls in report.classes:
         if abs(complex(cls.representative.lam)) > LAMBDA_ZERO_TOL:
             return NilpotencyVerdict(NOT_NILPOTENT, witness=cls)

@@ -1,7 +1,7 @@
 """Total-degree homotopy tracking and endpoint clustering.
 
 Paths follow the gamma-trick family H(u, t) = gamma (1-t) G(u) + t F(u)
-with start system G_j = u_j^{d_j} - b_j.  Targets with one more variable
+with start system G_j = u_j^d - b_j.  Targets with one more variable
 than equations (the homogenized eigen-system) are closed with a random
 affine patch <c, u> = 1 that is held exact throughout.  The predictor is
 a fourth-order explicit step on the Davidenko ODE, the corrector plain
@@ -10,6 +10,12 @@ paths, e.g. the multiplicity m-2 bundles at lam = 0) are finished with a
 Cauchy-integral endgame: the path is continued around small circles
 |1 - t| = r until it closes up, and the mean over the cycle gives the
 limit point; the radius is halved until consecutive circles agree.
+
+All paths of a solve advance in lockstep (as in HomotopyContinuation.jl,
+Breiding and Timme, ICMS 2018).  Each path's control flow is a generator
+that yields the numeric work it needs next and is sent the answer;
+`track_all` answers the pending requests of all paths with one call per
+kind on a stack of points (P, n+1).
 """
 
 from __future__ import annotations
@@ -111,7 +117,8 @@ class GroupDiagnostics:
 
 
 class _Homotopy:
-    """H(u, t) = gamma (1-t) (u_j^{d_j} - b_j) + t F_j(u), plus patch row."""
+    """H(u, t) = gamma (1-t) (u_j^d - b_j) + t F_j(u), plus patch row;
+    every equation of a PolySystem has the same degree d = m - 1."""
 
     def __init__(self, system: PolySystem, gamma: complex,
                  b: np.ndarray, patch: np.ndarray | None) -> None:
@@ -123,115 +130,137 @@ class _Homotopy:
         self.v = system.nvars
         self.gamma = gamma
         self.b = b
-        self.d = np.array(system.degrees, dtype=np.int64)
+        self.d = system.degrees[0]
         self.patch = patch
-        self._idx = np.arange(self.neq)
 
-    def start_points(self) -> list[np.ndarray]:
-        """All prod(d_j) start solutions of G, lifted to the patch chart."""
-        roots = self.b ** (1.0 / self.d)
-        combos = itertools.product(*(range(int(dj)) for dj in self.d))
-        pts = []
-        for ks in combos:
-            u = np.zeros(self.v, dtype=np.complex128)
-            u[: self.neq] = roots * np.exp(2j * np.pi * np.array(ks) / self.d)
-            if self.patch is not None:
-                c = self.patch
-                u[-1] = (1.0 - c[: self.neq] @ u[: self.neq]) / c[-1]
-            pts.append(u)
-        return pts
+    def start_points(self) -> np.ndarray:
+        """All d^neq start solutions of G, lifted to the patch chart."""
+        ks = np.array(list(itertools.product(range(self.d), repeat=self.neq)))
+        U = np.zeros((len(ks), self.v), dtype=np.complex128)
+        U[:, : self.neq] = self.b ** (1.0 / self.d) * np.exp(2j * np.pi * ks / self.d)
+        if self.patch is not None:
+            c = self.patch
+            U[:, -1] = (1.0 - U[:, : self.neq] @ c[: self.neq]) / c[-1]
+        return U
 
     def target_residual(self, u: np.ndarray) -> float:
-        r = float(np.max(np.abs(self.sys.evaluate(u))))
+        r = float(np.max(np.abs(self.sys.value_and_jacobian(u)[0])))
         if self.patch is not None:
             r = max(r, abs(self.patch @ u - 1.0))
         return r
 
-    def _assemble(self, u: np.ndarray, t: complex):
-        """H and its u-Jacobian at (u, t), plus the F and g they came from."""
-        F, JF = self.sys.value_and_jacobian(u)
-        un = u[: self.neq]
-        g = un ** self.d - self.b
-        s = self.gamma * (1.0 - t)
-        if self.patch is None:
-            H = s * g + t * F
-            J = t * JF
-            J[self._idx, self._idx] += s * self.d * un ** (self.d - 1)
-            return H, J, F, g
-        H = np.empty(self.v, dtype=np.complex128)
-        J = np.empty((self.v, self.v), dtype=np.complex128)
-        H[: self.neq] = s * g + t * F
-        H[self.neq] = self.patch @ u - 1.0
-        J[: self.neq] = t * JF
-        J[self._idx, self._idx] += s * self.d * un ** (self.d - 1)
-        J[self.neq] = self.patch
+    def _assemble(self, U: np.ndarray, t: np.ndarray):
+        """H (P, v) and its u-Jacobians (P, v, v) at the rows of U, row p
+        at t[p], plus the F and g they came from."""
+        F, JF = self.sys.value_and_jacobian(U)
+        un = U[:, : self.neq]
+        un_d1 = un ** (self.d - 1)
+        g = un_d1 * un - self.b
+        s = (self.gamma * (1.0 - t))[:, None]
+        H = np.empty(U.shape, dtype=np.complex128)
+        J = np.empty(U.shape + (self.v,), dtype=np.complex128)
+        H[:, : self.neq] = s * g + t[:, None] * F
+        np.multiply(t[:, None, None], JF, out=J[:, : self.neq])
+        J.reshape(len(U), -1)[:, : self.neq * (self.v + 1) : self.v + 1] += \
+            s * self.d * un_d1
+        if self.patch is not None:
+            H[:, self.neq] = U @ self.patch - 1.0
+            J[:, self.neq] = self.patch
         return H, J, F, g
 
-    def value_jac(self, u: np.ndarray, t: complex):
-        H, J, _, _ = self._assemble(u, t)
-        return H, J
+    def tangent(self, U: np.ndarray, t: np.ndarray):
+        """du/dt from the Davidenko ODE J_u du = -dH/dt, row by row."""
+        _, J, F, g = self._assemble(U, t)
+        rhs = np.zeros(U.shape, dtype=np.complex128)
+        rhs[:, : self.neq] = self.gamma * g - F
+        return _solve(J, rhs)
 
-    def tangent(self, u: np.ndarray, t: complex) -> np.ndarray:
-        """du/dt from the Davidenko ODE J_u du = -dH/dt."""
-        _, J, F, g = self._assemble(u, t)
-        rhs = np.zeros(self.v, dtype=np.complex128)
-        rhs[: self.neq] = self.gamma * g - F
-        return np.linalg.solve(J, rhs)
+    def newton(self, U: np.ndarray, t: np.ndarray, tol: float, iters: int):
+        """Newton on each row of U at its own t: (rows, converged mask).
 
-    def newton(self, u: np.ndarray, t: complex, tol: float, iters: int):
-        # success on small update, or on residual at the machine floor:
-        # near rank-deficient roots the update stagnates around cond*eps
-        # while the residual is already exact
-        for _ in range(iters):
-            H, J = self.value_jac(u, t)
-            if np.max(np.abs(H)) <= 1e-13:
-                return u, True
-            try:
-                du = np.linalg.solve(J, -H)
-            except np.linalg.LinAlgError:
-                return u, False
-            u = u + du
-            if np.max(np.abs(du)) <= tol * (1.0 + np.max(np.abs(u))):
-                return u, True
-        H, _ = self.value_jac(u, t)
-        if np.max(np.abs(H)) <= 1e-13:
-            return u, True
-        return u, False
+        A row is done on a small update, or on a residual at the machine
+        floor: near rank-deficient roots the update stagnates around
+        cond*eps while the residual is already exact.  Done rows leave
+        the stack; a singular Jacobian fails only its own row.
+        """
+        U = U.copy()
+        ok = np.zeros(len(U), dtype=bool)
+        live = np.arange(len(U))
+        for it in range(iters + 1):
+            if not live.size:
+                break
+            H, J, _, _ = self._assemble(U[live], t[live])
+            floor = np.abs(H).max(axis=1) <= 1e-13
+            ok[live[floor]] = True
+            if it == iters:
+                break
+            du, solved = _solve(J[~floor], -H[~floor])
+            live, du = live[~floor][solved], du[solved]
+            U[live] += du
+            small = (np.abs(du).max(axis=1)
+                     <= tol * (1.0 + np.abs(U[live]).max(axis=1)))
+            ok[live[small]] = True
+            live = live[~small]
+        return U, ok
 
-    def condition_at(self, u: np.ndarray, t: complex = 1.0) -> float:
-        _, J = self.value_jac(u, t)
+    def step(self, U: np.ndarray, t: np.ndarray, h: np.ndarray,
+             tol: float, iters: int):
+        """Fourth-order predictor from t to t + h, then Newton at t + h."""
+        hc = h[:, None]
+        k1, ok1 = self.tangent(U, t)
+        k2, ok2 = self.tangent(U + 0.5 * hc * k1, t + 0.5 * h)
+        k3, ok3 = self.tangent(U + 0.5 * hc * k2, t + 0.5 * h)
+        k4, ok4 = self.tangent(U + hc * k3, t + h)
+        up = U + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ok = ok1 & ok2 & ok3 & ok4
+        corrected, converged = self.newton(up[ok], (t + h)[ok], tol, iters)
+        up[ok] = corrected
+        ok[ok] = converged
+        return up, ok
+
+    def condition_at(self, u: np.ndarray) -> float:
+        _, J, _, _ = self._assemble(u[None], np.ones(1, dtype=np.complex128))
         try:
-            return float(np.linalg.cond(J))
+            return float(np.linalg.cond(J[0]))
         except np.linalg.LinAlgError:
             return float("inf")
 
 
-def _rk4(hom: _Homotopy, u: np.ndarray, t: complex, h: complex) -> np.ndarray:
-    k1 = hom.tangent(u, t)
-    k2 = hom.tangent(u + 0.5 * h * k1, t + 0.5 * h)
-    k3 = hom.tangent(u + 0.5 * h * k2, t + 0.5 * h)
-    k4 = hom.tangent(u + h * k3, t + h)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _solve(J: np.ndarray, rhs: np.ndarray):
+    """x with J[p] x[p] = rhs[p], and which rows were solved; a singular
+    J[p] fails only row p, which stays zero."""
+    solved = np.ones(len(J), dtype=bool)
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:       # raised if any one J[p] is singular
+        x = np.zeros_like(rhs)
+        for p in range(len(J)):
+            try:
+                x[p] = np.linalg.solve(J[p], rhs[p])
+            except np.linalg.LinAlgError:
+                solved[p] = False
+        return x, solved
+
+
+# The requests a path generator yields, each answered with (u, ok):
+#   ("step", u, t, h, tol, iters): `_Homotopy.step` from t to t + h
+#   ("newton", u, t, tol, iters):  `_Homotopy.newton` at t
 
 
 def _arc_step(hom: _Homotopy, u: np.ndarray, t0: complex, t1: complex,
               cfg: TrackerConfig, depth: int = 0):
     """Continue u from t0 to t1 along the chord; bisect on failure."""
-    try:
-        up = _rk4(hom, u, t0, t1 - t0)
-    except np.linalg.LinAlgError:
-        up = None
-    if up is not None:
-        un, ok = hom.newton(up, t1, cfg.corrector_tol, cfg.max_corrector_iters + 2)
-        if ok:
-            return un, True
+    un, ok = yield ("step", u, t0, t1 - t0, cfg.corrector_tol,
+                    cfg.max_corrector_iters + 2)
+    if ok:
+        return un, True
     if depth >= 5:
         return u, False
     tm = 0.5 * (t0 + t1)
-    um, ok = _arc_step(hom, u, t0, tm, cfg, depth + 1)
+    um, ok = yield from _arc_step(hom, u, t0, tm, cfg, depth + 1)
     if not ok:
         return u, False
-    return _arc_step(hom, um, tm, t1, cfg, depth + 1)
+    return (yield from _arc_step(hom, um, tm, t1, cfg, depth + 1))
 
 
 def _cauchy_circle(hom: _Homotopy, u_start: np.ndarray, radius: float,
@@ -245,23 +274,22 @@ def _cauchy_circle(hom: _Homotopy, u_start: np.ndarray, radius: float,
     nodes_per_loop = ENDGAME_SAMPLES
     dth = 2.0 * np.pi / nodes_per_loop
     u = u_start.copy()
-    samples = []
+    total = np.zeros_like(u)
     count = 0
     for loop in range(MAX_WINDING):
         for k in range(nodes_per_loop):
-            samples.append(u.copy())
+            total += u
             th0 = (loop * nodes_per_loop + k) * dth
             th1 = th0 + dth
             t0 = 1.0 - radius * np.exp(1j * th0)
             t1 = 1.0 - radius * np.exp(1j * th1)
-            u, ok = _arc_step(hom, u, t0, t1, cfg)
+            u, ok = yield from _arc_step(hom, u, t0, t1, cfg)
             count += 1
             if not ok or np.max(np.abs(u)) > cfg.divergence_bound:
                 return None, 0, False, count, u
         err = np.max(np.abs(u - u_start)) / (1.0 + np.max(np.abs(u_start)))
         if err <= 1e-4:
-            mean = np.mean(samples, axis=0)
-            return mean, loop + 1, True, count, u
+            return total / count, loop + 1, True, count, u
     return None, 0, False, count, u
 
 
@@ -271,15 +299,15 @@ def _walk_radius(hom: _Homotopy, u: np.ndarray, r0: float, r1: float,
     steps = 8
     for k in range(1, steps + 1):
         r = r0 * (r1 / r0) ** (k / steps)
-        u, ok = hom.newton(u, 1.0 - r, cfg.corrector_tol,
-                           cfg.max_corrector_iters + 3)
+        u, ok = yield ("newton", u, 1.0 - r, cfg.corrector_tol,
+                       cfg.max_corrector_iters + 3)
         if not ok:
             return u, False
     return u, True
 
 
 def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
-                    steps: int) -> PathOutcome:
+                    steps: int):
     """Cauchy-integral endgame with an adaptive radius.
 
     The circle mean equals the endpoint only while the disk |1 - t| <= r
@@ -295,7 +323,7 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
     prev_w = 0
     best = None
     for _ in range(MAX_RADIUS_HALVINGS):
-        est, w, ok, n, u_back = _cauchy_circle(hom, u, r, cfg)
+        est, w, ok, n, u_back = yield from _cauchy_circle(hom, u, r, cfg)
         steps += n
         if ok:
             res = hom.target_residual(est)
@@ -314,7 +342,7 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
             prev_est, prev_w = None, 0
             if float(np.max(np.abs(u_back))) > cfg.divergence_bound:
                 break
-        u, okw = _walk_radius(hom, u, r, r / 2.0, cfg)
+        u, okw = yield from _walk_radius(hom, u, r, r / 2.0, cfg)
         if not okw:
             break
         r /= 2.0
@@ -330,7 +358,7 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
     return PathOutcome(status, None, res, float("inf"), steps, 0)
 
 
-def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig) -> PathOutcome:
+def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig):
     u = u0.astype(np.complex128, copy=True)
     t = 0.0
     h = cfg.initial_step
@@ -343,14 +371,8 @@ def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig) -> PathOutcom
             return PathOutcome(STEP_UNDERFLOW, None, hom.target_residual(u),
                                float("inf"), steps, 0)
         hh = min(h, t_edge - t)
-        try:
-            up = _rk4(hom, u, t, hh)
-        except np.linalg.LinAlgError:
-            up = None
-        ok = False
-        if up is not None:
-            un, ok = hom.newton(up, t + hh, cfg.corrector_tol,
-                                cfg.max_corrector_iters)
+        un, ok = yield ("step", u, t, hh, cfg.corrector_tol,
+                        cfg.max_corrector_iters)
         if ok:
             u = un
             t += hh
@@ -370,7 +392,7 @@ def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig) -> PathOutcom
     # regular endpoints jump straight to t = 1; the jump must be a small
     # correction or the Newton iterate left the tracked path (e.g. a path
     # escaping to infinity getting pulled onto a finite root)
-    uf, _ = hom.newton(u.copy(), 1.0, REFINE_TARGET, 12)
+    uf, _ = yield ("newton", u, 1.0, REFINE_TARGET, 12)
     res = hom.target_residual(uf)
     unorm = float(np.max(np.abs(u)))
     jump = float(np.max(np.abs(uf - u)))
@@ -382,7 +404,7 @@ def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig) -> PathOutcom
         if cond <= 1e6:
             uf.setflags(write=False)
             return PathOutcome(CONVERGED, uf, res, cond, steps, 0)
-    return _finish_endgame(hom, u, cfg, steps)
+    return (yield from _finish_endgame(hom, u, cfg, steps))
 
 
 def _draw_complex(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -413,9 +435,32 @@ def _materialize(system: PolySystem, cfg: TrackerConfig) -> _Homotopy:
 
 
 def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]:
-    """Track every total-degree path of the system; one outcome per path."""
+    """Track every total-degree path of the system; one outcome per path,
+    in start-point order.  All paths advance together: each round
+    gathers the pending request of every live path and answers each
+    kind of request with one stacked call; a path retires when its
+    generator returns."""
     hom = _materialize(system, cfg)
-    return tuple(_track_one(hom, u0, cfg) for u0 in hom.start_points())
+    paths = [_track_one(hom, u0, cfg) for u0 in hom.start_points()]
+    outcomes: list = [None] * len(paths)
+    answers = dict.fromkeys(range(len(paths)))
+    while answers:
+        pending = {}
+        for i, answer in answers.items():
+            try:
+                pending[i] = paths[i].send(answer)
+            except StopIteration as done:
+                outcomes[i] = done.value
+        groups: dict = {}
+        for i, (kind, *args) in pending.items():
+            groups.setdefault((kind, *args[-2:]), []).append(i)
+        answers = {}
+        for (kind, tol, iters), idx in groups.items():
+            columns = (np.array(c, dtype=np.complex128)
+                       for c in zip(*(pending[i][1:-2] for i in idx)))
+            U, ok = getattr(hom, kind)(*columns, tol, iters)
+            answers.update(zip(idx, zip(U, ok)))
+    return tuple(outcomes)
 
 
 def _cluster_key(lam: complex, x: np.ndarray):

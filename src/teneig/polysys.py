@@ -54,34 +54,38 @@ class PolySystem:
         """Bezout number: product of declared degrees."""
         return (self.tensor.m - 1) ** self.neq
 
-    def _contract(self, u: np.ndarray):
-        """(x, S x^{m-2} as an n-by-n matrix, lam^{m-2} or the fixed lam)."""
-        m, n = self.tensor.m, self.neq
-        x = u[:n]
-        v = self._sym
-        for _ in range(m - 2):
-            v = v.reshape(-1, n) @ x
-        shift = self.lam if self.lam is not None else u[n] ** (m - 3) * u[n]
-        return x, v.reshape(n, n), shift
-
     def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """Values of all equations at u (complex vector of length nvars)."""
-        x, M, shift = self._contract(np.asarray(u, dtype=np.complex128))
-        return M @ x - shift * x
+        """Values at u: length nvars gives F (n,), a stack (P, nvars) F (P, n)."""
+        return self.value_and_jacobian(u)[0]
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         return self.value_and_jacobian(u)[1]
 
     def value_and_jacobian(self, u: np.ndarray):
+        """F and J at u; a stack u (P, nvars) gives F (P, n), J (P, n, nvars).
+
+        S x^{m-2}, an n-by-n matrix per row, takes one matrix product and
+        m-3 stacked mat-vecs; for m = 2 it is S itself, broadcast.
+        """
         u = np.asarray(u, dtype=np.complex128)
-        x, M, shift = self._contract(u)
+        U = u.reshape(-1, self.nvars)
         m, n = self.tensor.m, self.neq
-        J = np.empty((n, self.nvars), dtype=np.complex128)
-        np.multiply(M, m - 1, out=J[:, :n])
-        J.reshape(-1)[:: self.nvars + 1][:n] -= shift     # diagonal of J_x
+        x, lam = U[:, :n], U[:, n:]
+        M = self._sym.reshape(-1, n)
+        if m > 2:
+            M = x @ M.T
+            for _ in range(m - 3):
+                M = M.reshape(len(U), -1, n) @ x[:, :, None]
+            M = M.reshape(len(U), n, n)
+        lam_m3 = lam ** (m - 3)
+        shift = self.lam if self.lam is not None else lam_m3 * lam
+        J = np.empty((len(U), n, self.nvars), dtype=np.complex128)
+        np.multiply(M, m - 1, out=J[:, :, :n])
+        J.reshape(len(U), -1)[:, :: self.nvars + 1] -= shift   # diagonal of J_x
         if self.lam is None:
-            J[:, n] = -(m - 2) * u[n] ** (m - 3) * x
-        return M @ x - shift * x, J
+            J[:, :, n] = -(m - 2) * lam_m3 * x
+        F = (M @ x[:, :, None])[:, :, 0] - shift * x
+        return (F[0], J[0]) if u.ndim == 1 else (F, J)
 
 
 def build_eigen_system(A: Tensor) -> PolySystem:

@@ -62,8 +62,9 @@ VALUE_MERGE_TOL = 1e-8          # distinct normalized values closer than this me
 class SpectralReport:
     """Summary of one eigenclass computation.
 
-    ``total_multiplicity`` equals ``expected_count`` whenever the class
-    picture is clean (no failed paths, no positive-dimensional families);
+    ``clean`` means no failed paths, no positive-dimensional family, no
+    degenerate cluster, and ``total_multiplicity`` equal to
+    ``expected_count`` (the count theorem; a path jump breaks it);
     ``normalized_values`` collects the distinct eigenvalues at x.x = 1
     representatives, and ``degenerate_clusters`` counts clusters whose
     path count did not divide evenly by m - 2.
@@ -83,7 +84,8 @@ class SpectralReport:
     @property
     def clean(self) -> bool:
         return (not self.positive_dimensional and self.failed_paths == 0
-                and self.degenerate_clusters == 0)
+                and self.degenerate_clusters == 0
+                and self.total_multiplicity == self.expected_count)
 
 
 @dataclass(frozen=True)
@@ -150,9 +152,11 @@ class ZeroLocus:
 
 
 def _merge_values(values, tol: float = VALUE_MERGE_TOL) -> tuple:
-    """Deduplicate near-equal complex scalars, deterministically ordered."""
+    """Deduplicate near-equal complex scalars, ordered by the rounded
+    (real, imag) of `_cluster_key`: last-bit noise in the real parts of
+    a conjugate pair cannot swap it."""
     out: list[complex] = []
-    for v in sorted(map(complex, values), key=lambda z: (z.real, z.imag)):
+    for v in sorted(map(complex, values), key=lambda z: _cluster_key(z, ())):
         if not any(abs(v - w) <= tol * (1.0 + abs(w)) for w in out):
             out.append(v)
     return tuple(out)

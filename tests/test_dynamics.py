@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 
+from teneig import dynamics
 from teneig.dynamics import (
     NILPOTENT,
     NOT_NILPOTENT,
@@ -106,6 +107,24 @@ def test_base_locus_examples():
     blt = base_locus(translation_tensor(), CFG)
     assert len(blt) == 1
     assert blt[0].distance(ProjPoint([0.0, 1.0])) < 1e-6
+
+
+def test_dynamics_reuses_a_given_report(monkeypatch):
+    # `teneig dynamics` solves once and hands the report to both
+    for A in (cremona_tensor(), diag_tensor([1, 1], 3)):
+        report = eigenclasses(A, CFG)
+        want = nilpotency(A, kmax=3, cfg=CFG), base_locus(A, CFG)
+
+        def no_solve(*args):
+            raise AssertionError("solved again")
+        monkeypatch.setattr(dynamics, "eigenclasses", no_solve)
+        got = (nilpotency(A, kmax=3, cfg=CFG, report=report),
+               base_locus(A, CFG, report=report))
+        monkeypatch.undo()
+        assert (got[0].status, got[0].k) == (want[0].status, want[0].k)
+        assert (got[0].witness is None) == (want[0].witness is None)
+        assert len(got[1]) == len(want[1])
+        assert all(p.distance(q) == 0 for p, q in zip(got[1], want[1]))
 
 
 def test_fixed_point_correspondence():

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -287,3 +288,26 @@ def test_perfbench_traced_names_resolve():
         owner = importlib.import_module(module)
         assert callable(functools.reduce(getattr, attr.split("."), owner)), \
             (module, attr)
+
+
+def test_perfbench_cheap_operations_pass_their_checks(tmp_path, monkeypatch):
+    # the benchmark checks every output against references that never
+    # call teneig; its cheap operations run here, so that an output the
+    # benchmark would reject fails this suite first
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    cheap = {"generic": ("eigenclasses m3n3 ",),
+             "singular": ("eigenclasses isotropic ", "eigenclasses cre ",
+                          "eigenclasses zero "),
+             "commands": ("eig t32-", "eig t42-", "charpoly ", "hyperdet ")}
+    for name, prefixes in cheap.items():
+        load = workloads.build(name, 1, tmp_path / name)
+        ops = [op for op in load.ops if op.label.startswith(prefixes)]
+        assert ops, name
+        for op in ops:
+            assert op.check(op.run()) is None, op.label

@@ -10,6 +10,8 @@ from teneig.homotopy import (
     CONVERGED,
     TrackerConfig,
     _materialize,
+    _solve,
+    _track_one,
     group_into_classes,
     track_all,
 )
@@ -153,9 +155,91 @@ def test_start_solutions_satisfy_start_system():
         hom = _materialize(sysA, CFG)
         pts = hom.start_points()
         assert len(pts) == (m - 1) ** n
-        for u0 in pts:
-            H0, _ = hom.value_jac(u0, 0.0)
-            assert np.max(np.abs(H0)) < 1e-12
+        H0, _, _, _ = hom._assemble(np.array(pts), np.zeros(len(pts), dtype=complex))
+        assert np.max(np.abs(H0)) < 1e-12
+
+
+def test_stacked_evaluation_matches_rows():
+    # one stacked call gives, row for row, what one point at a time gives
+    # (the single-point call is checked against apply_power and finite
+    # differences above); m = 2 shifted systems broadcast S
+    rng = np.random.default_rng(8)
+    systems = [build_eigen_system(A) for A in (
+        rand_tensor(3, 3, rng), rand_tensor(5, 2, rng), rand_tensor(6, 3, rng),
+        motzkin_tensor())]
+    systems += [build_shifted_system(rand_tensor(m, n, rng), 0.4 + 0.9j)
+                for m, n in [(2, 3), (3, 2), (4, 3), (6, 3)]]
+    for system in systems:
+        U = (rng.standard_normal((5, system.nvars))
+             + 1j * rng.standard_normal((5, system.nvars)))
+        F, J = system.value_and_jacobian(U)
+        assert F.shape == (5, system.neq)
+        assert J.shape == (5, system.neq, system.nvars)
+        assert np.array_equal(system.evaluate(U), F)
+        for p in range(5):
+            Fp, Jp = system.value_and_jacobian(U[p])
+            scale = 1 + np.max(np.abs(Jp))
+            assert np.max(np.abs(F[p] - Fp)) <= 1e-13 * scale
+            assert np.max(np.abs(J[p] - Jp)) <= 1e-13 * scale
+
+
+def test_stacked_solve_fails_only_singular_rows():
+    rng = np.random.default_rng(9)
+    J = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    J[1, :, 2] = 0.0
+    rhs = rng.standard_normal((3, 4)) + 0j
+    x, solved = _solve(J, rhs)
+    assert solved.tolist() == [True, False, True]
+    for p in (0, 2):
+        assert np.allclose(x[p], np.linalg.solve(J[p], rhs[p]))
+
+    # at u = 0 the equation rows of the homotopy Jacobian vanish: that
+    # Newton row fails and stays put, the others move as they would alone
+    hom = _materialize(build_eigen_system(rand_tensor(3, 2, rng)), CFG)
+    U = np.array(hom.start_points()[:3])
+    U[1] = 0.0
+    t = np.array([0.5, 0.5, 0.25], dtype=complex)
+    V, ok = hom.newton(U, t, CFG.corrector_tol, 3)
+    assert not ok[1] and np.array_equal(V[1], U[1])
+    for p in (0, 2):
+        Vp, okp = hom.newton(U[p:p + 1], t[p:p + 1], CFG.corrector_tol, 3)
+        assert ok[p] == okp[0]
+        assert np.allclose(V[p], Vp[0], rtol=1e-13, atol=1e-13)
+
+
+def track_alone(hom, u0):
+    """One path tracked by itself, every request answered as a one-row stack."""
+    path, answer = _track_one(hom, u0, CFG), None
+    while True:
+        try:
+            kind, *args = path.send(answer)
+        except StopIteration as done:
+            return done.value
+        *columns, tol, iters = args
+        U, ok = getattr(hom, kind)(
+            *(np.array([c], dtype=complex) for c in columns), tol, iters)
+        answer = U[0], ok[0]
+
+
+def test_track_all_outcomes_follow_start_points():
+    # lockstep tracking returns, in start-point order, what tracking each
+    # path alone returns; the Cremona tensor sends paths into the endgame
+    rng = np.random.default_rng(10)
+    cre = np.zeros((3, 3, 3), dtype=complex)
+    cre[0, 0, 1], cre[1, 0, 2], cre[2, 1, 2] = 1.0, 1.0, 2.0
+    for A, endgame in ((rand_tensor(4, 2, rng), False), (Tensor(3, 3, cre), True)):
+        system = build_eigen_system(A)
+        outs = track_all(system, CFG)
+        hom = _materialize(system, CFG)
+        starts = hom.start_points()
+        assert len(outs) == len(starts)
+        for out, u0 in zip(outs, starts):
+            alone = track_alone(hom, u0)
+            assert (out.status, out.steps, out.winding) == \
+                (alone.status, alone.steps, alone.winding)
+            if out.converged:
+                assert np.allclose(out.endpoint, alone.endpoint, rtol=1e-8, atol=1e-8)
+        assert any(o.winding > 0 for o in outs) == endgame
 
 
 def test_converged_endpoint_residuals():

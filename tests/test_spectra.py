@@ -1,5 +1,6 @@
 """Tests for spectral reports, probes, and closed-form oracles."""
 
+import dataclasses
 from itertools import permutations
 from math import factorial
 
@@ -10,6 +11,8 @@ from teneig.homotopy import TrackerConfig
 from teneig.spectra import (
     COFINITE_COMPLEMENT,
     FINITE_VALUES,
+    SpectralReport,
+    _merge_values,
     characteristic_polynomial_numeric,
     diagonal_classes,
     eigenclasses,
@@ -77,6 +80,29 @@ def test_unit_diagonal_report():
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-8
     assert all(abs(v.imag) < 1e-8 for v in rep.normalized_values)
     assert rep.clean
+
+
+def test_report_clean_requires_the_count():
+    # a lost or doubled path leaves no failed path behind, only a total
+    # multiplicity off the count theorem's
+    rep = SpectralReport(m=3, n=2, classes=(), expected_count=3,
+                         total_multiplicity=3, positive_dimensional=False,
+                         normalized_values=(), isotropic_count=0,
+                         failed_paths=0)
+    assert rep.clean
+    for total in (2, 4):
+        assert not dataclasses.replace(rep, total_multiplicity=total).clean
+    assert not dataclasses.replace(rep, positive_dimensional=True).clean
+
+
+def test_merge_values_order_ignores_last_bits():
+    # a conjugate pair whose real parts agree only to rounding is listed
+    # the same way whichever of the two real parts is the larger
+    a, b = 0.3, 1.7
+    for re_up, re_down in ((a, a * (1 + 1e-15)), (a * (1 + 1e-15), a)):
+        pair = [complex(re_up, b), complex(re_down, -b)]
+        for values in (pair, pair[::-1]):
+            assert [z.imag for z in _merge_values(values)] == [-b, b]
 
 
 def test_diagonal_classes_oracle():
