@@ -1,8 +1,8 @@
 """Total-degree homotopy tracking and endpoint clustering.
 
 Paths follow the gamma-trick family H(u, t) = gamma (1-t) G(u) + t F(u)
-with start system G_j = u_j^d - b_j.  Targets with one more variable
-than equations (the homogenized eigen-system) are closed with a random
+with start system G_j = u_j^d - b_j.  The target is the homogenized
+eigen-system, one more variable than equations, closed with a random
 affine patch <c, u> = 1 that is held exact throughout.  The predictor is
 a fourth-order explicit step on the Davidenko ODE, the corrector plain
 Newton.  Endpoints that land on singular roots (clusters of coalescing
@@ -56,40 +56,28 @@ ENDGAME_SAMPLES = 16            # nodes per loop on the endgame circle
 MAX_WINDING = 24                # give up if the cycle has not closed by then
 MAX_RADIUS_HALVINGS = 6         # endgame radius adaptation budget
 MAX_STEPS = 6000                # hard per-path step budget
+INITIAL_STEP = 0.05             # first (and largest) step in t
+MIN_STEP = 1e-7                 # a path whose step falls below this fails
+CORRECTOR_TOL = 1e-11           # Newton update size that ends a correction
+MAX_CORRECTOR_ITERS = 3         # Newton iterations per predictor step
+DIVERGENCE_BOUND = 1e8          # |u| beyond this marks a diverging path
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Knobs for the path tracker; all randomness derives from `seed`.
-
-    `gamma` and `patch` may be pinned explicitly (mostly for tests and for
-    fresh-patch re-runs); left as None they are drawn from the seed.
-    """
+    """The tracker's seed, from which gamma, the patch and the start
+    system are drawn, and the endpoint clustering radius."""
 
     seed: int = 20100306
-    gamma: complex | None = None
-    patch: tuple | None = None
-    initial_step: float = 0.05
-    min_step: float = 1e-7
-    corrector_tol: float = 1e-11
-    max_corrector_iters: int = 3
     cluster_radius: float = 1e-6
-    divergence_bound: float = 1e8
 
     def __post_init__(self) -> None:
-        for name in ("initial_step", "min_step", "corrector_tol",
-                     "cluster_radius", "divergence_bound"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_corrector_iters < 1:
-            raise ValueError("max_corrector_iters must be >= 1")
-        if self.gamma is not None and abs(abs(self.gamma) - 1.0) > 1e-9:
-            raise ValueError("gamma must have unit modulus")
+        if self.cluster_radius <= 0:
+            raise ValueError("cluster_radius must be positive")
 
-    def fresh(self, bump: int = 7919) -> "TrackerConfig":
+    def fresh(self) -> "TrackerConfig":
         """A config with re-drawn randomness (fresh patch re-runs)."""
-        return dataclasses.replace(self, seed=self.seed + bump,
-                                   gamma=None, patch=None)
+        return dataclasses.replace(self, seed=self.seed + 7919)
 
 
 @dataclass(frozen=True)
@@ -121,10 +109,7 @@ class _Homotopy:
     every equation of a PolySystem has the same degree d = m - 1."""
 
     def __init__(self, system: PolySystem, gamma: complex,
-                 b: np.ndarray, patch: np.ndarray | None) -> None:
-        rows = system.neq + (0 if patch is None else 1)
-        if rows != system.nvars:
-            raise ValueError("system is not square after patching")
+                 b: np.ndarray, patch: np.ndarray) -> None:
         self.sys = system
         self.neq = system.neq
         self.v = system.nvars
@@ -138,16 +123,13 @@ class _Homotopy:
         ks = np.array(list(itertools.product(range(self.d), repeat=self.neq)))
         U = np.zeros((len(ks), self.v), dtype=np.complex128)
         U[:, : self.neq] = self.b ** (1.0 / self.d) * np.exp(2j * np.pi * ks / self.d)
-        if self.patch is not None:
-            c = self.patch
-            U[:, -1] = (1.0 - U[:, : self.neq] @ c[: self.neq]) / c[-1]
+        c = self.patch
+        U[:, -1] = (1.0 - U[:, : self.neq] @ c[: self.neq]) / c[-1]
         return U
 
     def target_residual(self, u: np.ndarray) -> float:
         r = float(np.max(np.abs(self.sys.value_and_jacobian(u)[0])))
-        if self.patch is not None:
-            r = max(r, abs(self.patch @ u - 1.0))
-        return r
+        return max(r, abs(self.patch @ u - 1.0))
 
     def _assemble(self, U: np.ndarray, t: np.ndarray):
         """H (P, v) and its u-Jacobians (P, v, v) at the rows of U, row p
@@ -163,9 +145,8 @@ class _Homotopy:
         np.multiply(t[:, None, None], JF, out=J[:, : self.neq])
         J.reshape(len(U), -1)[:, : self.neq * (self.v + 1) : self.v + 1] += \
             s * self.d * un_d1
-        if self.patch is not None:
-            H[:, self.neq] = U @ self.patch - 1.0
-            J[:, self.neq] = self.patch
+        H[:, self.neq] = U @ self.patch - 1.0
+        J[:, self.neq] = self.patch
         return H, J, F, g
 
     def tangent(self, U: np.ndarray, t: np.ndarray):
@@ -247,24 +228,22 @@ def _solve(J: np.ndarray, rhs: np.ndarray):
 #   ("newton", u, t, tol, iters):  `_Homotopy.newton` at t
 
 
-def _arc_step(hom: _Homotopy, u: np.ndarray, t0: complex, t1: complex,
-              cfg: TrackerConfig, depth: int = 0):
+def _arc_step(u: np.ndarray, t0: complex, t1: complex, depth: int = 0):
     """Continue u from t0 to t1 along the chord; bisect on failure."""
-    un, ok = yield ("step", u, t0, t1 - t0, cfg.corrector_tol,
-                    cfg.max_corrector_iters + 2)
+    un, ok = yield ("step", u, t0, t1 - t0, CORRECTOR_TOL,
+                    MAX_CORRECTOR_ITERS + 2)
     if ok:
         return un, True
     if depth >= 5:
         return u, False
     tm = 0.5 * (t0 + t1)
-    um, ok = yield from _arc_step(hom, u, t0, tm, cfg, depth + 1)
+    um, ok = yield from _arc_step(u, t0, tm, depth + 1)
     if not ok:
         return u, False
-    return (yield from _arc_step(hom, um, tm, t1, cfg, depth + 1))
+    return (yield from _arc_step(um, tm, t1, depth + 1))
 
 
-def _cauchy_circle(hom: _Homotopy, u_start: np.ndarray, radius: float,
-                   cfg: TrackerConfig):
+def _cauchy_circle(u_start: np.ndarray, radius: float):
     """Loop t = 1 - radius*exp(i theta) until the path closes.
 
     Returns (mean over the closed cycle, winding, closure flag, node count,
@@ -283,9 +262,9 @@ def _cauchy_circle(hom: _Homotopy, u_start: np.ndarray, radius: float,
             th1 = th0 + dth
             t0 = 1.0 - radius * np.exp(1j * th0)
             t1 = 1.0 - radius * np.exp(1j * th1)
-            u, ok = yield from _arc_step(hom, u, t0, t1, cfg)
+            u, ok = yield from _arc_step(u, t0, t1)
             count += 1
-            if not ok or np.max(np.abs(u)) > cfg.divergence_bound:
+            if not ok or np.max(np.abs(u)) > DIVERGENCE_BOUND:
                 return None, 0, False, count, u
         err = np.max(np.abs(u - u_start)) / (1.0 + np.max(np.abs(u_start)))
         if err <= 1e-4:
@@ -293,21 +272,19 @@ def _cauchy_circle(hom: _Homotopy, u_start: np.ndarray, radius: float,
     return None, 0, False, count, u
 
 
-def _walk_radius(hom: _Homotopy, u: np.ndarray, r0: float, r1: float,
-                 cfg: TrackerConfig):
+def _walk_radius(u: np.ndarray, r0: float, r1: float):
     """Move along the real t axis from 1-r0 to 1-r1 by short Newton hops."""
     steps = 8
     for k in range(1, steps + 1):
         r = r0 * (r1 / r0) ** (k / steps)
-        u, ok = yield ("newton", u, 1.0 - r, cfg.corrector_tol,
-                       cfg.max_corrector_iters + 3)
+        u, ok = yield ("newton", u, 1.0 - r, CORRECTOR_TOL,
+                       MAX_CORRECTOR_ITERS + 3)
         if not ok:
             return u, False
     return u, True
 
 
-def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
-                    steps: int):
+def _finish_endgame(hom: _Homotopy, u: np.ndarray, steps: int):
     """Cauchy-integral endgame with an adaptive radius.
 
     The circle mean equals the endpoint only while the disk |1 - t| <= r
@@ -323,7 +300,7 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
     prev_w = 0
     best = None
     for _ in range(MAX_RADIUS_HALVINGS):
-        est, w, ok, n, u_back = yield from _cauchy_circle(hom, u, r, cfg)
+        est, w, ok, n, u_back = yield from _cauchy_circle(u, r)
         steps += n
         if ok:
             res = hom.target_residual(est)
@@ -340,9 +317,9 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
             u = u_back
         else:
             prev_est, prev_w = None, 0
-            if float(np.max(np.abs(u_back))) > cfg.divergence_bound:
+            if float(np.max(np.abs(u_back))) > DIVERGENCE_BOUND:
                 break
-        u, okw = yield from _walk_radius(hom, u, r, r / 2.0, cfg)
+        u, okw = yield from _walk_radius(u, r, r / 2.0)
         if not okw:
             break
         r /= 2.0
@@ -358,10 +335,10 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, cfg: TrackerConfig,
     return PathOutcome(status, None, res, float("inf"), steps, 0)
 
 
-def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig):
+def _track_one(hom: _Homotopy, u0: np.ndarray):
     u = u0.astype(np.complex128, copy=True)
     t = 0.0
-    h = cfg.initial_step
+    h = INITIAL_STEP
     streak = 0
     steps = 0
     t_edge = 1.0 - ENDGAME_RADIUS
@@ -371,22 +348,21 @@ def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig):
             return PathOutcome(STEP_UNDERFLOW, None, hom.target_residual(u),
                                float("inf"), steps, 0)
         hh = min(h, t_edge - t)
-        un, ok = yield ("step", u, t, hh, cfg.corrector_tol,
-                        cfg.max_corrector_iters)
+        un, ok = yield ("step", u, t, hh, CORRECTOR_TOL, MAX_CORRECTOR_ITERS)
         if ok:
             u = un
             t += hh
-            if np.max(np.abs(u)) > cfg.divergence_bound:
+            if np.max(np.abs(u)) > DIVERGENCE_BOUND:
                 return PathOutcome(DIVERGED, None, float("inf"),
                                    float("inf"), steps, 0)
             streak += 1
             if streak >= 4:
-                h = min(2.0 * h, cfg.initial_step)
+                h = min(2.0 * h, INITIAL_STEP)
                 streak = 0
         else:
             streak = 0
             h *= 0.5
-            if h < cfg.min_step:
+            if h < MIN_STEP:
                 return PathOutcome(STEP_UNDERFLOW, None, hom.target_residual(u),
                                    float("inf"), steps, 0)
     # regular endpoints jump straight to t = 1; the jump must be a small
@@ -404,7 +380,7 @@ def _track_one(hom: _Homotopy, u0: np.ndarray, cfg: TrackerConfig):
         if cond <= 1e6:
             uf.setflags(write=False)
             return PathOutcome(CONVERGED, uf, res, cond, steps, 0)
-    return (yield from _finish_endgame(hom, u, cfg, steps))
+    return (yield from _finish_endgame(hom, u, steps))
 
 
 def _draw_complex(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -413,21 +389,13 @@ def _draw_complex(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _materialize(system: PolySystem, cfg: TrackerConfig) -> _Homotopy:
+    if system.lam is not None:
+        raise ValueError("only the homogenized eigen-system is tracked")
     rng = np.random.default_rng(cfg.seed)
-    gamma = cfg.gamma
-    if gamma is None:
-        gamma = complex(np.exp(2j * np.pi * rng.random()))
-    patched = system.nvars == system.neq + 1
-    patch = None
-    if patched:
-        if cfg.patch is not None:
-            patch = np.asarray(cfg.patch, dtype=np.complex128)
-            if patch.shape != (system.nvars,) or abs(patch[-1]) < 1e-12:
-                raise ValueError("patch must be length nvars with c[-1] != 0")
-        else:
-            patch = _draw_complex(rng, system.nvars)
-            while abs(patch[-1]) < 0.2:
-                patch = _draw_complex(rng, system.nvars)
+    gamma = complex(np.exp(2j * np.pi * rng.random()))
+    patch = _draw_complex(rng, system.nvars)
+    while abs(patch[-1]) < 0.2:
+        patch = _draw_complex(rng, system.nvars)
     b = _draw_complex(rng, system.neq)
     while np.min(np.abs(b)) < 0.1:
         b = _draw_complex(rng, system.neq)
@@ -441,7 +409,7 @@ def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]
     kind of request with one stacked call; a path retires when its
     generator returns."""
     hom = _materialize(system, cfg)
-    paths = [_track_one(hom, u0, cfg) for u0 in hom.start_points()]
+    paths = [_track_one(hom, u0) for u0 in hom.start_points()]
     outcomes: list = [None] * len(paths)
     answers = dict.fromkeys(range(len(paths)))
     while answers:
@@ -548,17 +516,8 @@ def _positive_dim_recheck(A: Tensor, suspicious, cfg: TrackerConfig) -> bool:
     cfg2 = cfg.fresh()
     outcomes2 = track_all(build_eigen_system(A), cfg2)
     classes2, _ = group_into_classes(outcomes2, A, cfg2, _recheck=False)
-    for c in suspicious:
-        lam, x = c.representative.lam, c.representative.x
-        found = False
-        for c2 in classes2:
-            lam2, x2 = c2.representative.lam, c2.representative.x
-            if abs(lam2 - lam) > 1e-6 * (1.0 + abs(lam)):
-                continue
-            scale = max(1.0, float(np.max(np.abs(x))))
-            if float(np.max(np.abs(x - x2))) <= 1e-6 * scale:
-                found = True
-                break
-        if not found:
-            return True
-    return False
+    return not all(
+        any(_same_class(c.representative.lam, c.representative.x,
+                        c2.representative.lam, c2.representative.x, 1e-6)
+            for c2 in classes2)
+        for c in suspicious)

@@ -2,9 +2,9 @@
 
 Everything here sits on top of the path tracker: `eigenclasses` runs the
 full pipeline (matrices go through np.linalg.eig) and summarizes it; the
-remaining operations interpret the classes (real representatives, PSD
-test, numeric characteristic polynomial) or probe the tensor with
-auxiliary square systems (`singular_probe`, `zero_eigenvectors`).
+remaining operations interpret the classes: real representatives, the
+PSD test, the numeric characteristic polynomial, the finiteness probe
+(`singular_probe`) and the zero eigenvectors (`zero_eigenvectors`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
 FINITE_VALUES = "finite_values"
 COFINITE_COMPLEMENT = "cofinite_complement"
 
-WITNESS_TOL = 1e-6              # |x.x - 1| acceptance for a probe witness
 VALUE_MERGE_TOL = 1e-8          # distinct normalized values closer than this merge
 
 
@@ -422,86 +421,76 @@ def characteristic_polynomial_numeric(
                            degree=len(roots))
 
 
-def _slide_to_witness(system, x0: np.ndarray) -> bool:
-    """Gauss-Newton search for a solution of the system with x.x = 1.
+def _slide_to_value(system, m: int, pair: EigenPair, target: complex) -> bool:
+    """Gauss-Newton search for a normalized eigenpair with value `target`.
 
-    Starting from a tracked endpoint, minimizes the augmented residual
-    [F(x); x.x - 1] by least-squares steps; on a positive-dimensional
-    solution set this slides along the component toward the normalization
-    slice, on an isolated point it stalls.
+    Starts from the pair rescaled to x.x = 1, with lam its normalized
+    eigenvalue, and minimizes [A x^{m-1} - lam x; x.x - 1; lam - target]
+    in (x, lam) by least-squares steps; `system` is the lam = 0 shifted system,
+    which supplies A x^{m-1} and its Jacobian.  On a family whose
+    normalized value varies this slides along the family to the target;
+    at an isolated class it stalls.
     """
-    x = np.asarray(x0, dtype=np.complex128).copy()
+    s = np.sqrt(complex(pair.x @ pair.x))
+    x = np.asarray(pair.x, dtype=np.complex128) / s
+    lam = complex(pair.lam) / s ** (m - 2)
+    n = x.size
+    Ja = np.zeros((n + 2, n + 1), dtype=np.complex128)
+    Ja[n + 1, n] = 1.0
     for _ in range(40):
         F, J = system.value_and_jacobian(x)
-        g = np.concatenate([F, [x @ x - 1.0]])
+        g = np.concatenate([F - lam * x, [x @ x - 1.0, lam - target]])
         if float(np.max(np.abs(g))) <= 1e-7:
             return True
-        Ja = np.vstack([J, 2.0 * x[None, :]])
-        dx = np.linalg.lstsq(Ja, -g, rcond=None)[0]
-        if not np.all(np.isfinite(dx)) or float(np.max(np.abs(dx))) > 1e3:
+        Ja[:n, :n] = J - lam * np.eye(n)
+        Ja[:n, n] = -x
+        Ja[n, :n] = 2.0 * x
+        d = np.linalg.lstsq(Ja, -g, rcond=None)[0]
+        if not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) > 1e3:
             return False
-        x = x + dx
+        x, lam = x + d[:n], lam + d[n]
     return False
-
-
-def _witness_trial(A: Tensor, lam: complex,
-                   cfg: TrackerConfig) -> bool | None:
-    """Solve A x^{m-1} = lam x at fixed lam and look for an x.x = 1 witness.
-
-    Returns True/False for a decided trial, None when no path converged.
-    """
-    system = build_shifted_system(A, lam)
-    outcomes = track_all(system, cfg)
-    decided = False
-    for out in outcomes:
-        if not out.converged:
-            continue
-        decided = True
-        x = out.endpoint
-        if float(np.linalg.norm(x)) <= 1e-10:
-            continue            # the trivial zero of the shifted system
-        if _slide_to_witness(system, x):
-            return True
-    return False if decided else None
 
 
 def singular_probe(A: Tensor, trials: int = 5,
                    cfg: TrackerConfig | None = None) -> ProbeResult:
     """Decide whether normalized eigenvalues fill the plane or a finite set.
 
-    Each trial fixes a random eigenvalue from the annulus 0.5 <= |lam| <= 2
-    and asks whether the square system A x^{m-1} = lam x has a solution
-    with x.x = 1.  Generic tensors miss on every trial and the attained
-    values come from `eigenclasses`; tensors whose values are cofinite hit
-    on every trial, and an extra trial at lam = 0 estimates the exception
-    set.  Non-failed trials must agree.
+    Makes one `eigenclasses` solve.  Each trial fixes a random eigenvalue
+    from the annulus 0.5 <= |lam| <= 2 and asks whether some eigenpair
+    with x.x = 1 has it: a Gauss-Newton slide from every non-isotropic
+    class toward that value (`_slide_to_value`).  A fixed-lam solution is
+    an eigenvector rescaled to that eigenvalue, so the classes hold every
+    answer.  Generic tensors miss on every trial and the attained values
+    are the report's; tensors whose values are cofinite hit on every
+    trial, and a slide to lam = 0 estimates the exception set.  The
+    trials must agree.
     """
     if trials < 3:
         raise ValueError("need at least 3 trials")
     cfg = cfg or TrackerConfig()
+    report = eigenclasses(A, cfg)
+    system = build_shifted_system(A, 0.0)
+    starts = [c.representative for c in report.classes if not c.isotropic]
+
+    def attained(target: complex) -> bool:
+        return any(_slide_to_value(system, A.m, pair, target) for pair in starts)
+
     verdicts = []
     for t in range(trials):
         rng = np.random.default_rng((cfg.seed, 271828, t))
         lam = (rng.uniform(0.5, 2.0)
                * np.exp(2j * np.pi * rng.uniform(0.0, 1.0)))
-        verdict = _witness_trial(A, lam, cfg.fresh(bump=104729 * (t + 1)))
-        if verdict is not None:
-            verdicts.append(verdict)
-    if not verdicts:
-        raise RuntimeError("every probe trial failed to track")
+        verdicts.append(attained(lam))
     if any(verdicts) and not all(verdicts):
         raise RuntimeError(
             f"probe trials disagree: {sum(verdicts)}/{len(verdicts)} hits")
     if all(verdicts):
-        # estimate the exceptions by probing lam = 0 directly; a miss (or a
-        # failed track) marks 0 as unattained
-        zero_hit = _witness_trial(A, 0.0 + 0j, cfg.fresh(bump=999983))
-        exceptions = () if zero_hit is True else (0j,)
+        exceptions = () if attained(0j) else (0j,)
         return ProbeResult(kind=COFINITE_COMPLEMENT, exceptions=exceptions,
-                           trials=len(verdicts))
-    report = eigenclasses(A, cfg)
+                           trials=trials)
     return ProbeResult(kind=FINITE_VALUES, values=report.normalized_values,
-                       trials=len(verdicts))
+                       trials=trials)
 
 
 def zero_eigenvectors(f: PolyForm,

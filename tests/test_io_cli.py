@@ -304,7 +304,8 @@ def test_perfbench_cheap_operations_pass_their_checks(tmp_path, monkeypatch):
     cheap = {"generic": ("eigenclasses m3n3 ",),
              "singular": ("eigenclasses isotropic ", "eigenclasses cre ",
                           "eigenclasses zero "),
-             "commands": ("eig t32-", "eig t42-", "charpoly ", "hyperdet ")}
+             "commands": ("eig t32-", "eig t42-", "charpoly ", "hyperdet ",
+                          "singular ")}
     for name, prefixes in cheap.items():
         load = workloads.build(name, 1, tmp_path / name)
         ops = [op for op in load.ops if op.label.startswith(prefixes)]

@@ -8,6 +8,7 @@ import pytest
 from teneig.homotopy import (
     ACCEPT_RESIDUAL,
     CONVERGED,
+    CORRECTOR_TOL,
     TrackerConfig,
     _materialize,
     _solve,
@@ -199,17 +200,17 @@ def test_stacked_solve_fails_only_singular_rows():
     U = np.array(hom.start_points()[:3])
     U[1] = 0.0
     t = np.array([0.5, 0.5, 0.25], dtype=complex)
-    V, ok = hom.newton(U, t, CFG.corrector_tol, 3)
+    V, ok = hom.newton(U, t, CORRECTOR_TOL, 3)
     assert not ok[1] and np.array_equal(V[1], U[1])
     for p in (0, 2):
-        Vp, okp = hom.newton(U[p:p + 1], t[p:p + 1], CFG.corrector_tol, 3)
+        Vp, okp = hom.newton(U[p:p + 1], t[p:p + 1], CORRECTOR_TOL, 3)
         assert ok[p] == okp[0]
         assert np.allclose(V[p], Vp[0], rtol=1e-13, atol=1e-13)
 
 
 def track_alone(hom, u0):
     """One path tracked by itself, every request answered as a one-row stack."""
-    path, answer = _track_one(hom, u0, CFG), None
+    path, answer = _track_one(hom, u0), None
     while True:
         try:
             kind, *args = path.send(answer)
@@ -334,9 +335,9 @@ def test_multiplicity_division_m4():
 
 def test_tracker_config_validation():
     with pytest.raises(ValueError):
-        TrackerConfig(initial_step=-0.1)
+        TrackerConfig(cluster_radius=0.0)
     with pytest.raises(ValueError):
-        TrackerConfig(gamma=0.5)  # |gamma| must be 1
+        TrackerConfig(cluster_radius=-1e-6)
     fresh = CFG.fresh()
     assert fresh.seed != CFG.seed
     assert fresh.cluster_radius == CFG.cluster_radius

@@ -1,13 +1,15 @@
 """Tests for spectral reports, probes, and closed-form oracles."""
 
 import dataclasses
+import json
 from itertools import permutations
 from math import factorial
 
 import numpy as np
 import pytest
 
-from teneig.homotopy import TrackerConfig
+from teneig import homotopy, spectra
+from teneig.homotopy import TrackerConfig, track_all
 from teneig.spectra import (
     COFINITE_COMPLEMENT,
     FINITE_VALUES,
@@ -25,6 +27,7 @@ from teneig.spectra import (
     zero_eigenvectors,
 )
 from teneig.exact import is_singular_222
+from teneig.tensorio import parse_tensor_json
 from teneig.tensor import (
     PolyForm,
     Tensor,
@@ -257,6 +260,37 @@ def test_singular_probe_finite_cases():
 
     with pytest.raises(ValueError):
         singular_probe(A, trials=2, cfg=CFG)
+
+
+def test_singular_probe_family_through_zero():
+    # A x^2 = x1 x: every x is an eigenvector with normalized value x1,
+    # and x = (0, 1) has x.x = 1 with A x^2 = 0, so 0 is attained too
+    A = parse_tensor_json(json.dumps({
+        "m": 3, "n": 2, "encoding": "dense",
+        "entries": [1, 0, 0, 0, 0, "1/2", "1/2", 0]})).tensor
+    pr = singular_probe(A, trials=5, cfg=CFG)
+    assert pr.kind == COFINITE_COMPLEMENT
+    assert pr.exceptions == ()
+    assert is_singular_222(A)
+
+
+def test_singular_probe_makes_one_solve(monkeypatch):
+    # the probe answers its trials from one eigenclasses solve; a
+    # positive-dimensional report adds only the recheck of that solve
+    calls = []
+
+    def counted(system, cfg):
+        calls.append(system)
+        return track_all(system, cfg)
+
+    monkeypatch.setattr(spectra, "track_all", counted)
+    monkeypatch.setattr(homotopy, "track_all", counted)     # the recheck
+    for A, solves in ((rand_tensor(3, 2, np.random.default_rng(58)), 1),
+                      (fineprint_tensor(), 2)):
+        calls.clear()
+        singular_probe(A, trials=5, cfg=CFG)
+        assert len(calls) == solves
+        assert all(system.lam is None for system in calls)
 
 
 def test_probe_cofinite_implies_exact_singular():
