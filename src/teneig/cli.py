@@ -1,7 +1,7 @@
 """Command-line surface: counts, spectra, certificates, and dynamics.
 
 Exit codes: 0 clean, 1 input error, 2 degenerate or inconclusive result
-(failed paths, positive-dimensional families, indeterminate polynomial,
+(`eig`: any report that is not clean; indeterminate polynomial,
 undetermined nilpotency, disagreeing probe trials).
 """
 
@@ -85,11 +85,10 @@ def cmd_eig(args) -> int:
                      f"{report.expected_count}; "
                      f"positive_dimensional={report.positive_dimensional}; "
                      f"failed_paths={report.failed_paths}; "
+                     f"degenerate_clusters={report.degenerate_clusters}; "
                      f"isotropic={report.isotropic_count}")
         _emit(args, "\n".join(lines))
-    if report.failed_paths or report.positive_dimensional:
-        return DEGENERATE
-    return OK
+    return OK if report.clean else DEGENERATE
 
 
 def cmd_charpoly(args) -> int:

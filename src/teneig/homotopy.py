@@ -16,17 +16,22 @@ Breiding and Timme, ICMS 2018).  Each path's control flow is a generator
 that yields the numeric work it needs next and is sent the answer;
 `track_all` answers the pending requests of all paths with one call per
 kind on a stack of points (P, n+1).
+
+`group_into_classes` decides every class where it lies, from the
+endpoints of the one solve: the Jacobian condition in the unit chart
+tells a singular class from a simple one, and a Gauss-Newton slide onto
+a slice off the class tells a family from an isolated root (the local
+dimension test of Bates, Hauenstein, Peterson and Sommese, SINUM 2009).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polysys import PolySystem, build_eigen_system
+from .polysys import PolySystem, build_shifted_system
 from .tensor import (
     ISOTROPY_TOL,
     EigenClass,
@@ -43,7 +48,7 @@ STEP_UNDERFLOW = "step_underflow"
 ACCEPT_RESIDUAL = 1e-9          # max-norm residual for a converged endpoint
 REFINE_TARGET = 1e-12           # endpoint Newton refinement goal
 TRIVIAL_X = 1e-8                # |x| below this fraction of |u| is the zero solution
-POSITIVE_DIM_COND = 1e10        # Jacobian condition flagging a suspicious cluster
+POSITIVE_DIM_COND = 1e10        # unit-chart Jacobian condition of a singular class
 ENDGAME_RADIUS = 1e-6           # outer circle radius around t = 1
 ENDGAME_SAMPLES = 16            # nodes per loop on the endgame circle
 # A cycle of winding w is analytic in s = (1 - t)^(1/w), and the w loops of
@@ -75,10 +80,6 @@ class TrackerConfig:
         if self.cluster_radius <= 0:
             raise ValueError("cluster_radius must be positive")
 
-    def fresh(self) -> "TrackerConfig":
-        """A config with re-drawn randomness (fresh patch re-runs)."""
-        return dataclasses.replace(self, seed=self.seed + 7919)
-
 
 @dataclass(frozen=True)
 class PathOutcome:
@@ -87,7 +88,6 @@ class PathOutcome:
     status: str
     endpoint: np.ndarray | None
     residual: float
-    condition: float
     steps: int = 0
     winding: int = 0
 
@@ -298,7 +298,6 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, steps: int):
     r = ENDGAME_RADIUS
     prev_est = None
     prev_w = 0
-    best = None
     for _ in range(MAX_RADIUS_HALVINGS):
         est, w, ok, n, u_back = yield from _cauchy_circle(u, r)
         steps += n
@@ -308,11 +307,9 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, steps: int):
                 agree = (prev_est is not None and prev_w == w
                          and float(np.max(np.abs(est - prev_est)))
                          <= 1e-8 * (1.0 + float(np.max(np.abs(est)))))
-                best = (est, w, res)
                 if agree:
-                    cond = hom.condition_at(est)
                     est.setflags(write=False)
-                    return PathOutcome(CONVERGED, est, res, cond, steps, w)
+                    return PathOutcome(CONVERGED, est, res, steps, w)
             prev_est, prev_w = est, w
             u = u_back
         else:
@@ -323,16 +320,9 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, steps: int):
         if not okw:
             break
         r /= 2.0
-    if best is not None:
-        # closed and on-target at one radius, never confirmed at the next;
-        # accept the estimate rather than discard a plausible endpoint
-        est, w, res = best
-        cond = hom.condition_at(est)
-        est.setflags(write=False)
-        return PathOutcome(CONVERGED, est, res, cond, steps, w)
-    res = hom.target_residual(u)
+    # an estimate never confirmed at a second radius is not an endpoint
     status = DIVERGED if escaping else STEP_UNDERFLOW
-    return PathOutcome(status, None, res, float("inf"), steps, 0)
+    return PathOutcome(status, None, hom.target_residual(u), steps, 0)
 
 
 def _track_one(hom: _Homotopy, u0: np.ndarray):
@@ -346,15 +336,14 @@ def _track_one(hom: _Homotopy, u0: np.ndarray):
         steps += 1
         if steps > MAX_STEPS:
             return PathOutcome(STEP_UNDERFLOW, None, hom.target_residual(u),
-                               float("inf"), steps, 0)
+                               steps, 0)
         hh = min(h, t_edge - t)
         un, ok = yield ("step", u, t, hh, CORRECTOR_TOL, MAX_CORRECTOR_ITERS)
         if ok:
             u = un
             t += hh
             if np.max(np.abs(u)) > DIVERGENCE_BOUND:
-                return PathOutcome(DIVERGED, None, float("inf"),
-                                   float("inf"), steps, 0)
+                return PathOutcome(DIVERGED, None, float("inf"), steps, 0)
             streak += 1
             if streak >= 4:
                 h = min(2.0 * h, INITIAL_STEP)
@@ -364,7 +353,7 @@ def _track_one(hom: _Homotopy, u0: np.ndarray):
             h *= 0.5
             if h < MIN_STEP:
                 return PathOutcome(STEP_UNDERFLOW, None, hom.target_residual(u),
-                                   float("inf"), steps, 0)
+                                   steps, 0)
     # regular endpoints jump straight to t = 1; the jump must be a small
     # correction or the Newton iterate left the tracked path (e.g. a path
     # escaping to infinity getting pulled onto a finite root)
@@ -373,13 +362,12 @@ def _track_one(hom: _Homotopy, u0: np.ndarray):
     unorm = float(np.max(np.abs(u)))
     jump = float(np.max(np.abs(uf - u)))
     if res <= ACCEPT_RESIDUAL and jump <= 1e-2 * (1.0 + unorm):
-        cond = hom.condition_at(uf)
         # a clustered endpoint reached by plain Newton is only sqrt(res)
         # accurate; route anything ill-conditioned through the endgame,
         # whose circle mean cancels the fractional-power error exactly
-        if cond <= 1e6:
+        if hom.condition_at(uf) <= 1e6:
             uf.setflags(write=False)
-            return PathOutcome(CONVERGED, uf, res, cond, steps, 0)
+            return PathOutcome(CONVERGED, uf, res, steps, 0)
     return (yield from _finish_endgame(hom, u, steps))
 
 
@@ -442,21 +430,67 @@ def _same_class(lam1, x1, lam2, x2, tol: float) -> bool:
     return float(np.max(np.abs(x1 - x2))) <= tol * scale
 
 
-def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig,
-                       _recheck: bool = True):
-    """Cluster converged endpoints into eigenpair classes.
+def _eigen_rows(system: PolySystem, x: np.ndarray, lam):
+    """A x^{m-1} - lam x and its (x, lam) Jacobian from the lam = 0 system,
+    at one point or at a stack x (P, n), lam (P,)."""
+    F, J = system.value_and_jacobian(x)
+    lam = np.asarray(lam)[..., None]
+    return F - lam * x, np.concatenate(
+        [J - lam[..., None] * np.eye(x.shape[-1]), -x[..., None]], axis=-1)
+
+
+def gauss_newton(system: PolySystem, x: np.ndarray, lam: complex,
+                 rows, tol: float) -> bool:
+    """Whether Gauss-Newton from (x, lam) brings [A x^{m-1} - lam x; extra]
+    below `tol` within 40 least-squares steps; `system` is the lam = 0
+    shifted system, and `rows(x, lam)` gives the extra equations and
+    their Jacobian rows.  A non-finite or huge step gives up."""
+    n = x.size
+    for _ in range(40):
+        F, J = _eigen_rows(system, x, lam)
+        extra, J_extra = rows(x, lam)
+        g = np.concatenate([F, extra])
+        if float(np.max(np.abs(g))) <= tol:
+            return True
+        d = np.linalg.lstsq(np.vstack([J, J_extra]), -g, rcond=None)[0]
+        if not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) > 1e3:
+            return False
+        x, lam = x + d[:n], lam + d[n]
+    return False
+
+
+def _on_family(system: PolySystem, x0: np.ndarray, lam0: complex,
+               r: np.ndarray) -> bool:
+    """Whether a family through (x0, lam0), |x0| = 1, meets the slice
+    r.x = r.x0 + 0.1|r| in the chart conj(x0).x = 1; an isolated root
+    cannot.  The offset stays large: a root of order k along a direction
+    leaves a residual near offset^k, far above 1e-12 at 5-fold classes."""
+    level = r @ x0 + 0.1 * np.linalg.norm(r)
+    J_extra = np.vstack([np.append(x0.conj(), 0.0), np.append(r, 0.0)])
+    return gauss_newton(
+        system, x0, lam0,
+        lambda x, lam: (np.array([x0.conj() @ x - 1.0, r @ x - level]), J_extra),
+        1e-12)
+
+
+def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
+    """Cluster converged endpoints into eigenpair classes, and decide each.
 
     Returns (classes, GroupDiagnostics) for an order m >= 3 tensor.
-    Multiplicity is cluster size divided by m-2 (non-divisible sizes are
-    surfaced via the degenerate-cluster counter).  Suspiciously
-    ill-conditioned clusters are re-solved with a fresh patch to detect
-    positive-dimensional components.
+    Multiplicity is cluster size divided by m-2.  A class's condition is
+    that of the Jacobian of [A x^{m-1} - lam x; conj(x0).x - 1] in (x, lam)
+    at its representative x0 scaled to |x0| = 1; in lam-tilde a simple
+    root at lam = 0 would read as singular.  Above POSITIVE_DIM_COND the
+    class is singular, and `_on_family` decides whether a family passes
+    through it.  A cluster is degenerate when its size does not divide by
+    m-2, or when it lies on no family and its multiplicity disagrees with
+    its Jacobian: multiplicity 1 exactly when nonsingular.
     """
     m, n = A.m, A.n
     k = m - 2
     failed = 0
     trivial = 0
-    entries = []            # (canonical pair, raw lam-tilde, residual, cond)
+    pairs = []              # canonical, with the endpoint residual
     for out in outcomes:
         if not out.converged:
             failed += 1
@@ -466,40 +500,41 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig,
         if np.linalg.norm(x) <= TRIVIAL_X * np.linalg.norm(u):
             trivial += 1
             continue
-        pair = canonicalize(EigenPair(u[n] ** k, x, residual=out.residual), m)
-        entries.append((pair, u[n], out.residual, out.condition))
+        pairs.append(canonicalize(
+            EigenPair(u[n] ** k, x, residual=out.residual), m))
 
-    entries.sort(key=lambda e: _cluster_key(e[0].lam, e[0].x))
+    pairs.sort(key=lambda p: _cluster_key(p.lam, p.x))
     clusters: list[list] = []
-    for entry in entries:
-        pair = entry[0]
+    for pair in pairs:
         for cl in clusters:
-            rep = cl[0][0]
-            if _same_class(rep.lam, rep.x, pair.lam, pair.x, cfg.cluster_radius):
-                cl.append(entry)
+            if _same_class(cl[0].lam, cl[0].x, pair.lam, pair.x,
+                           cfg.cluster_radius):
+                cl.append(pair)
                 break
         else:
-            clusters.append([entry])
+            clusters.append([pair])
 
-    degenerate = 0
-    classes = []
-    for cl in clusters:
+    shifted = build_shifted_system(A, 0.0)
+    r = _draw_complex(np.random.default_rng(cfg.seed), n)
+    reps = [min(cl, key=lambda p: p.residual) for cl in clusters]
+    norms = np.array([np.linalg.norm(p.x) for p in reps])
+    X0 = np.array([p.x for p in reps]).reshape(-1, n) / norms[:, None]
+    L0 = np.array([complex(p.lam) for p in reps]) / norms ** k
+    charts = np.append(X0.conj(), np.zeros((len(reps), 1)), axis=1)[:, None]
+    conds = np.linalg.cond(np.concatenate(
+        [_eigen_rows(shifted, X0, L0)[1], charts], axis=1)) if reps else ()
+    degenerate, positive_dim, classes = 0, False, []
+    for cl, rep, x0, lam0, cond in zip(clusters, reps, X0, L0, conds):
         size = len(cl)
-        degenerate += bool(size % k)
         mult = max(1, round(size / k))
-        rep = min(cl, key=lambda e: e[2])[0]
-        w = rep.x / np.linalg.norm(rep.x)
-        iso = bool(abs(w @ w) <= ISOTROPY_TOL)
-        cond = max(e[3] for e in cl)
+        singular = bool(cond > POSITIVE_DIM_COND)
+        family = singular and _on_family(shifted, x0, lam0, r)
+        positive_dim |= family
+        degenerate += bool(size % k) or (not family and (mult == 1) == singular)
         classes.append(EigenClass(representative=rep, multiplicity=mult,
-                                  isotropic=iso,
+                                  isotropic=bool(abs(x0 @ x0) <= ISOTROPY_TOL),
                                   normalized_lambdas=normalized_eigenvalues(rep, m),
-                                  cluster_size=size, condition=cond))
-
-    positive_dim = False
-    suspicious = [c for c in classes if c.condition > POSITIVE_DIM_COND]
-    if suspicious and _recheck:
-        positive_dim = _positive_dim_recheck(A, suspicious, cfg)
+                                  cluster_size=size, condition=float(cond)))
 
     classes.sort(key=lambda c: _cluster_key(c.representative.lam,
                                             c.representative.x))
@@ -507,17 +542,3 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig,
                             degenerate_clusters=degenerate,
                             positive_dimensional=positive_dim)
     return tuple(classes), diag
-
-
-def _positive_dim_recheck(A: Tensor, suspicious, cfg: TrackerConfig) -> bool:
-    """Re-run with a fresh patch; a suspicious cluster whose representative
-    x cannot be reproduced at the same lam marks a positive-dimensional
-    eigenvariety component."""
-    cfg2 = cfg.fresh()
-    outcomes2 = track_all(build_eigen_system(A), cfg2)
-    classes2, _ = group_into_classes(outcomes2, A, cfg2, _recheck=False)
-    return not all(
-        any(_same_class(c.representative.lam, c.representative.x,
-                        c2.representative.lam, c2.representative.x, 1e-6)
-            for c2 in classes2)
-        for c in suspicious)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import (TrackerConfig, _cluster_key, group_into_classes,
-                       track_all)
+from .homotopy import (TrackerConfig, _cluster_key, gauss_newton,
+                       group_into_classes, track_all)
 from .polysys import build_eigen_system, build_shifted_system
 from .tensor import (
     ISOTROPY_TOL,
@@ -66,7 +66,9 @@ class SpectralReport:
     ``expected_count`` (the count theorem; a path jump breaks it);
     ``normalized_values`` collects the distinct eigenvalues at x.x = 1
     representatives, and ``degenerate_clusters`` counts clusters whose
-    path count did not divide evenly by m - 2.
+    path count did not divide evenly by m - 2, or that lie on no family
+    with a multiplicity their Jacobian denies (1 but singular, or more
+    than 1 but nonsingular: two paths on one regular root).
     """
 
     m: int
@@ -421,60 +423,37 @@ def characteristic_polynomial_numeric(
                            degree=len(roots))
 
 
-def _slide_to_value(system, m: int, pair: EigenPair, target: complex) -> bool:
-    """Gauss-Newton search for a normalized eigenpair with value `target`.
-
-    Starts from the pair rescaled to x.x = 1, with lam its normalized
-    eigenvalue, and minimizes [A x^{m-1} - lam x; x.x - 1; lam - target]
-    in (x, lam) by least-squares steps; `system` is the lam = 0 shifted system,
-    which supplies A x^{m-1} and its Jacobian.  On a family whose
-    normalized value varies this slides along the family to the target;
-    at an isolated class it stalls.
-    """
-    s = np.sqrt(complex(pair.x @ pair.x))
-    x = np.asarray(pair.x, dtype=np.complex128) / s
-    lam = complex(pair.lam) / s ** (m - 2)
-    n = x.size
-    Ja = np.zeros((n + 2, n + 1), dtype=np.complex128)
-    Ja[n + 1, n] = 1.0
-    for _ in range(40):
-        F, J = system.value_and_jacobian(x)
-        g = np.concatenate([F - lam * x, [x @ x - 1.0, lam - target]])
-        if float(np.max(np.abs(g))) <= 1e-7:
-            return True
-        Ja[:n, :n] = J - lam * np.eye(n)
-        Ja[:n, n] = -x
-        Ja[n, :n] = 2.0 * x
-        d = np.linalg.lstsq(Ja, -g, rcond=None)[0]
-        if not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) > 1e3:
-            return False
-        x, lam = x + d[:n], lam + d[n]
-    return False
-
-
 def singular_probe(A: Tensor, trials: int = 5,
                    cfg: TrackerConfig | None = None) -> ProbeResult:
     """Decide whether normalized eigenvalues fill the plane or a finite set.
 
     Makes one `eigenclasses` solve.  Each trial fixes a random eigenvalue
     from the annulus 0.5 <= |lam| <= 2 and asks whether some eigenpair
-    with x.x = 1 has it: a Gauss-Newton slide from every non-isotropic
-    class toward that value (`_slide_to_value`).  A fixed-lam solution is
-    an eigenvector rescaled to that eigenvalue, so the classes hold every
-    answer.  Generic tensors miss on every trial and the attained values
-    are the report's; tensors whose values are cofinite hit on every
-    trial, and a slide to lam = 0 estimates the exception set.  The
-    trials must agree.
+    with x.x = 1 has it: from every non-isotropic class, rescaled to
+    x.x = 1, Gauss-Newton on [A x^{m-1} - lam x; x.x - 1; lam - target]
+    slides along a family whose normalized value varies, and stalls at
+    an isolated class.  A fixed-lam solution is an eigenvector rescaled
+    to that eigenvalue, so the classes hold every answer.  Generic
+    tensors miss on every trial and the attained values are the report's;
+    tensors whose values are cofinite hit on every trial, and a slide to
+    lam = 0 estimates the exception set.  The trials must agree.
     """
     if trials < 3:
         raise ValueError("need at least 3 trials")
     cfg = cfg or TrackerConfig()
     report = eigenclasses(A, cfg)
     system = build_shifted_system(A, 0.0)
-    starts = [c.representative for c in report.classes if not c.isotropic]
+    reps = [c.representative for c in report.classes if not c.isotropic]
+    roots = [np.sqrt(complex(p.x @ p.x)) for p in reps]
+    starts = [(p.x / s, complex(p.lam) / s ** (A.m - 2))
+              for p, s in zip(reps, roots)]
+    last = np.eye(1, A.n + 1, A.n)[0]
 
     def attained(target: complex) -> bool:
-        return any(_slide_to_value(system, A.m, pair, target) for pair in starts)
+        def rows(x, lam):
+            return (np.array([x @ x - 1.0, lam - target]),
+                    np.vstack([np.append(2.0 * x, 0.0), last]))
+        return any(gauss_newton(system, x, lam, rows, 1e-7) for x, lam in starts)
 
     verdicts = []
     for t in range(trials):

@@ -175,6 +175,12 @@ def test_cli_eig_degenerate_exit(tmp_path, capsys):
     path = write(tmp_path, "family.json", family333())
     assert main(["eig", path]) == DEGENERATE
     assert "positive_dimensional=True" in capsys.readouterr().out
+    # diag(1, 1 + 1e-7): two eigenvalues too close to tell apart make one
+    # degenerate cluster, and a report that is not clean exits 2
+    path = write(tmp_path, "close.json", {"m": 2, "n": 2, "encoding": "dense",
+                                         "entries": [1, 0, 0, 1.0000001]})
+    assert main(["eig", path]) == DEGENERATE
+    assert "degenerate_clusters=1" in capsys.readouterr().out
 
 
 def test_cli_eig_bad_input(tmp_path, capsys):
@@ -303,7 +309,7 @@ def test_perfbench_cheap_operations_pass_their_checks(tmp_path, monkeypatch):
     spec.loader.exec_module(workloads)
     cheap = {"generic": ("eigenclasses m3n3 ",),
              "singular": ("eigenclasses isotropic ", "eigenclasses cre ",
-                          "eigenclasses zero "),
+                          "eigenclasses zero ", "eigenclasses family "),
              "commands": ("eig t32-", "eig t42-", "charpoly ", "hyperdet ",
                           "singular ")}
     for name, prefixes in cheap.items():

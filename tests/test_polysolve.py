@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from teneig import spectra
 from teneig.homotopy import (
     ACCEPT_RESIDUAL,
     CONVERGED,
@@ -17,7 +18,7 @@ from teneig.homotopy import (
     track_all,
 )
 from teneig.polysys import PolySystem, build_eigen_system, build_shifted_system
-from teneig.spectra import eigenclasses
+from teneig.spectra import eigenclasses, value_multiplicities
 from teneig.tensor import EigenPair, Tensor, apply_power, canonicalize, expected_count
 from teneig.tensorio import parse_tensor_json
 
@@ -243,7 +244,7 @@ def test_track_all_outcomes_follow_start_points():
         assert any(o.winding > 0 for o in outs) == endgame
 
 
-def test_converged_endpoint_residuals():
+def test_converged_endpoint_residuals(monkeypatch):
     rng = np.random.default_rng(6)
     for m, n in [(3, 2), (3, 3)]:
         A = rand_tensor(m, n, rng)
@@ -256,6 +257,15 @@ def test_converged_endpoint_residuals():
         assert sum(c.multiplicity for c in cls) == expected_count(m, n)
         assert all(c.multiplicity == 1 for c in cls)
         assert dg.trivial_paths == 1
+        # two paths ending on one regular root keep the total but lose a
+        # class: a multiplicity-2 class with a nonsingular Jacobian
+        i, j = [p for p, o in enumerate(outs)
+                if np.linalg.norm(o.endpoint[:n]) > 1e-3][:2]
+        doubled = outs[:i] + (outs[j],) + outs[i + 1:]
+        _, dg = group_into_classes(doubled, A, CFG)
+        assert dg.degenerate_clusters == 1
+        monkeypatch.setattr(spectra, "track_all", lambda system, cfg: doubled)
+        assert not eigenclasses(A, CFG).clean
 
 
 def test_seed_robustness():
@@ -333,11 +343,21 @@ def test_multiplicity_division_m4():
         assert c.cluster_size == 2 * c.multiplicity
 
 
+def test_motzkin_off_the_default_seed():
+    # under other seeds the picture may lose paths or show degenerate
+    # clusters, but never a family, and a clean report is the right one
+    for seed in (2, 6):
+        report = eigenclasses(motzkin_tensor(), TrackerConfig(seed=seed))
+        assert not report.positive_dimensional
+        if report.clean:
+            assert len(report.classes) == 23
+            assert report.total_multiplicity == 31
+            assert tuple(k for _, k in value_multiplicities(report)) == \
+                (14, 8, 2, 1)
+
+
 def test_tracker_config_validation():
     with pytest.raises(ValueError):
         TrackerConfig(cluster_radius=0.0)
     with pytest.raises(ValueError):
         TrackerConfig(cluster_radius=-1e-6)
-    fresh = CFG.fresh()
-    assert fresh.seed != CFG.seed
-    assert fresh.cluster_radius == CFG.cluster_radius

@@ -275,8 +275,8 @@ def test_singular_probe_family_through_zero():
 
 
 def test_singular_probe_makes_one_solve(monkeypatch):
-    # the probe answers its trials from one eigenclasses solve; a
-    # positive-dimensional report adds only the recheck of that solve
+    # the probe answers its trials from one eigenclasses solve, and
+    # grouping decides a positive-dimensional family without another
     calls = []
 
     def counted(system, cfg):
@@ -284,13 +284,12 @@ def test_singular_probe_makes_one_solve(monkeypatch):
         return track_all(system, cfg)
 
     monkeypatch.setattr(spectra, "track_all", counted)
-    monkeypatch.setattr(homotopy, "track_all", counted)     # the recheck
-    for A, solves in ((rand_tensor(3, 2, np.random.default_rng(58)), 1),
-                      (fineprint_tensor(), 2)):
+    monkeypatch.setattr(homotopy, "track_all", counted)     # a solve in grouping
+    for A in (rand_tensor(3, 2, np.random.default_rng(58)), fineprint_tensor()):
         calls.clear()
         singular_probe(A, trials=5, cfg=CFG)
-        assert len(calls) == solves
-        assert all(system.lam is None for system in calls)
+        assert len(calls) == 1
+        assert calls[0].lam is None
 
 
 def test_probe_cofinite_implies_exact_singular():
