@@ -2,7 +2,8 @@
 
 Exit codes: 0 clean, 1 input error, 2 degenerate or inconclusive result
 (`eig`: any report that is not clean; indeterminate polynomial,
-undetermined nilpotency, disagreeing probe trials).
+undetermined nilpotency, disagreeing probe trials, a PSD verdict left
+undecided by a report that may have lost a class).
 """
 
 from __future__ import annotations
@@ -116,12 +117,20 @@ def cmd_psd(args) -> int:
     loaded = load_tensor(args.input)
     form = loaded.form if loaded.form is not None \
         else form_from_tensor(loaded.tensor)
-    verdict = is_positive_semidefinite(form, _config(args))
+    try:
+        verdict = is_positive_semidefinite(form, _config(args))
+    except RuntimeError as e:
+        verdict, why = None, str(e)
     if args.format == "machine":
-        _emit(args, json.dumps({"psd": verdict}))
+        obj = {"psd": verdict}
+        if verdict is None:
+            obj["inconclusive"] = why
+        _emit(args, json.dumps(obj))
+    elif verdict is None:
+        _emit(args, "PSD: undecided")
     else:
         _emit(args, f"PSD: {'true' if verdict else 'false'}")
-    return OK
+    return DEGENERATE if verdict is None else OK
 
 
 def cmd_singular(args) -> int:

@@ -651,5 +651,12 @@ def _c2_closed_form(entries) -> GaussianRational:
 
 
 def is_singular_222(A: Tensor) -> bool:
-    """True when the characteristic polynomial vanishes identically."""
+    """True when the characteristic polynomial vanishes identically.
+
+    Its constant coefficient is C8 = -Res(A x^2)^2, so a nonzero resultant
+    of the two quadratics answers False without building the polynomial;
+    only on Res = 0 is the whole polynomial needed.
+    """
+    if _resultant_quadratics_entries(_exact_entries_222(A)):
+        return False
     return charpoly_exact_2_3(A).is_zero()

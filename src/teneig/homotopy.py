@@ -439,38 +439,66 @@ def _eigen_rows(system: PolySystem, x: np.ndarray, lam):
         [J - lam[..., None] * np.eye(x.shape[-1]), -x[..., None]], axis=-1)
 
 
-def gauss_newton(system: PolySystem, x: np.ndarray, lam: complex,
-                 rows, tol: float) -> bool:
-    """Whether Gauss-Newton from (x, lam) brings [A x^{m-1} - lam x; extra]
-    below `tol` within 40 least-squares steps; `system` is the lam = 0
-    shifted system, and `rows(x, lam)` gives the extra equations and
-    their Jacobian rows.  A non-finite or huge step gives up."""
-    n = x.size
+def gauss_newton(system: PolySystem, X: np.ndarray, L: np.ndarray,
+                 rows, tol: float) -> np.ndarray:
+    """Which rows of a stack of starts X (P, n), L (P,) Gauss-Newton
+    brings [A x^{m-1} - lam x; extra] below `tol` within 40 least-squares
+    steps, as a (P,) mask; `system` is the lam = 0 shifted system.
+
+    `rows(idx, X, L)` gives the extra equations (P', e) and their
+    Jacobian rows (P', e, n+1) at the live rows `idx` of the stack.
+    Every row advances in lockstep: one stacked evaluation and one
+    stacked pseudo-inverse per iteration, with lstsq's default cutoff
+    eps * max(rows, cols).  A row leaves as a hit on a residual at or
+    below `tol`, and as a miss on a non-finite residual or step, a step
+    above 1e3, or a step below 1e-13 (1 + |x|): there Gauss-Newton has
+    stalled at a least-squares point that is no root.
+    """
+    X = np.array(X, dtype=np.complex128)
+    L = np.array(L, dtype=np.complex128)
+    n = X.shape[1]
+    hit = np.zeros(len(X), dtype=bool)
+    live = np.arange(len(X))
     for _ in range(40):
-        F, J = _eigen_rows(system, x, lam)
-        extra, J_extra = rows(x, lam)
-        g = np.concatenate([F, extra])
-        if float(np.max(np.abs(g))) <= tol:
-            return True
-        d = np.linalg.lstsq(np.vstack([J, J_extra]), -g, rcond=None)[0]
-        if not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) > 1e3:
-            return False
-        x, lam = x + d[:n], lam + d[n]
-    return False
+        if not live.size:
+            break
+        F, J = _eigen_rows(system, X[live], L[live])
+        extra, J_extra = rows(live, X[live], L[live])
+        g = np.concatenate([F, extra], axis=1)
+        M = np.concatenate([J, J_extra], axis=1)
+        res = np.abs(g).max(axis=1)
+        hit[live[res <= tol]] = True
+        go = (res > tol) & np.isfinite(M).all(axis=(1, 2))   # pinv needs it
+        live, g, M = live[go], g[go], M[go]
+        cutoff = np.finfo(float).eps * max(M.shape[1:])
+        d = -(np.linalg.pinv(M, cutoff) @ g[:, :, None])[:, :, 0]
+        size = np.abs(d).max(axis=1)
+        floor = 1e-13 * (1.0 + np.abs(X[live]).max(axis=1))
+        moving = (size <= 1e3) & (size >= floor)
+        live, d = live[moving], d[moving]
+        X[live] += d[:, :n]
+        L[live] += d[:, n]
+    return hit
 
 
-def _on_family(system: PolySystem, x0: np.ndarray, lam0: complex,
-               r: np.ndarray) -> bool:
-    """Whether a family through (x0, lam0), |x0| = 1, meets the slice
-    r.x = r.x0 + 0.1|r| in the chart conj(x0).x = 1; an isolated root
-    cannot.  The offset stays large: a root of order k along a direction
-    leaves a residual near offset^k, far above 1e-12 at 5-fold classes."""
-    level = r @ x0 + 0.1 * np.linalg.norm(r)
-    J_extra = np.vstack([np.append(x0.conj(), 0.0), np.append(r, 0.0)])
-    return gauss_newton(
-        system, x0, lam0,
-        lambda x, lam: (np.array([x0.conj() @ x - 1.0, r @ x - level]), J_extra),
-        1e-12)
+def _on_family(system: PolySystem, X0: np.ndarray, L0: np.ndarray,
+               r: np.ndarray) -> np.ndarray:
+    """Which of the classes (X0[p], L0[p]), |X0[p]| = 1, have a family
+    through them that meets the slice r.x = r.X0[p] + 0.1|r| in the chart
+    conj(X0[p]).x = 1; an isolated root cannot.  One `gauss_newton` call
+    slides all of them.  The offset stays large: a root of order k along
+    a direction leaves a residual near offset^k, far above 1e-12 at
+    5-fold classes."""
+    level = X0 @ r + 0.1 * np.linalg.norm(r)
+    charts = np.append(X0.conj(), np.zeros((len(X0), 1)), axis=1)
+    J_extra = np.stack(
+        [charts, np.broadcast_to(np.append(r, 0.0), charts.shape)], axis=1)
+
+    def rows(idx, X, L):
+        return np.stack([np.sum(X0[idx].conj() * X, axis=1) - 1.0,
+                         X @ r - level[idx]], axis=1), J_extra[idx]
+
+    return gauss_newton(system, X0, L0, rows, 1e-12)
 
 
 def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
@@ -522,15 +550,18 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
     L0 = np.array([complex(p.lam) for p in reps]) / norms ** k
     charts = np.append(X0.conj(), np.zeros((len(reps), 1)), axis=1)[:, None]
     conds = np.linalg.cond(np.concatenate(
-        [_eigen_rows(shifted, X0, L0)[1], charts], axis=1)) if reps else ()
-    degenerate, positive_dim, classes = 0, False, []
-    for cl, rep, x0, lam0, cond in zip(clusters, reps, X0, L0, conds):
+        [_eigen_rows(shifted, X0, L0)[1], charts], axis=1)) if reps \
+        else np.zeros(0)
+    singular = conds > POSITIVE_DIM_COND
+    family = singular.copy()
+    if singular.any():
+        family[singular] = _on_family(shifted, X0[singular], L0[singular], r)
+    degenerate, classes = 0, []
+    for cl, rep, x0, cond, sing, fam in zip(clusters, reps, X0, conds,
+                                            singular, family):
         size = len(cl)
         mult = max(1, round(size / k))
-        singular = bool(cond > POSITIVE_DIM_COND)
-        family = singular and _on_family(shifted, x0, lam0, r)
-        positive_dim |= family
-        degenerate += bool(size % k) or (not family and (mult == 1) == singular)
+        degenerate += bool(size % k or (not fam and (mult == 1) == sing))
         classes.append(EigenClass(representative=rep, multiplicity=mult,
                                   isotropic=bool(abs(x0 @ x0) <= ISOTROPY_TOL),
                                   normalized_lambdas=normalized_eigenvalues(rep, m),
@@ -540,5 +571,5 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
                                             c.representative.x))
     diag = GroupDiagnostics(failed_paths=failed, trivial_paths=trivial,
                             degenerate_clusters=degenerate,
-                            positive_dimensional=positive_dim)
+                            positive_dimensional=bool(family.any()))
     return tuple(classes), diag

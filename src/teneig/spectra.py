@@ -378,6 +378,13 @@ def is_positive_semidefinite(f: PolyForm, cfg: TrackerConfig | None = None,
     Equivalent to every real eigenclass of the associated symmetric
     tensor having normalized eigenvalue >= -tol (the minimum of m*f on
     the unit sphere is attained at such a class).
+
+    A lost path, or two paths on one root, can hide the one negative
+    class, so a report with a failed path raises RuntimeError, and so
+    does any other report that is not clean, unless it is positive-
+    dimensional: there the degenerate clusters and the count are the
+    family's, not a sign of a lost class, and the verdict rests on the
+    classes the solve samples on it, as for (x.x)^2.
     """
     if f.degree % 2:
         raise ValueError("PSD test needs even degree")
@@ -385,6 +392,13 @@ def is_positive_semidefinite(f: PolyForm, cfg: TrackerConfig | None = None,
         if abs(complex(coeff).imag) > 0:
             raise ValueError("PSD test needs real coefficients")
     report = eigenclasses(tensor_from_form(f), cfg)
+    if report.failed_paths or not (report.clean
+                                   or report.positive_dimensional):
+        raise RuntimeError(
+            f"report not clean: {report.failed_paths} failed paths, "
+            f"{report.degenerate_clusters} degenerate clusters, "
+            f"multiplicity {report.total_multiplicity}/"
+            f"{report.expected_count}")
     for cls in real_classes(report):
         # real classes are never isotropic, so the value list is nonempty
         if min(v.real for v in cls.normalized_lambdas) < -tol:
@@ -436,38 +450,42 @@ def singular_probe(A: Tensor, trials: int = 5,
     to that eigenvalue, so the classes hold every answer.  Generic
     tensors miss on every trial and the attained values are the report's;
     tensors whose values are cofinite hit on every trial, and a slide to
-    lam = 0 estimates the exception set.  The trials must agree.
+    lam = 0 estimates the exception set.  The trials must agree.  All
+    slides, trials x classes plus the lam = 0 rows, run as one stacked
+    `gauss_newton` call; a trial hits when any of its rows does.
     """
     if trials < 3:
         raise ValueError("need at least 3 trials")
     cfg = cfg or TrackerConfig()
     report = eigenclasses(A, cfg)
-    system = build_shifted_system(A, 0.0)
     reps = [c.representative for c in report.classes if not c.isotropic]
-    roots = [np.sqrt(complex(p.x @ p.x)) for p in reps]
-    starts = [(p.x / s, complex(p.lam) / s ** (A.m - 2))
-              for p, s in zip(reps, roots)]
-    last = np.eye(1, A.n + 1, A.n)[0]
-
-    def attained(target: complex) -> bool:
-        def rows(x, lam):
-            return (np.array([x @ x - 1.0, lam - target]),
-                    np.vstack([np.append(2.0 * x, 0.0), last]))
-        return any(gauss_newton(system, x, lam, rows, 1e-7) for x, lam in starts)
-
-    verdicts = []
+    roots = np.array([np.sqrt(complex(p.x @ p.x)) for p in reps])
+    X0 = np.array([p.x for p in reps]).reshape(-1, A.n) / roots[:, None]
+    L0 = np.array([complex(p.lam) for p in reps]) / roots ** (A.m - 2)
+    targets = []
     for t in range(trials):
         rng = np.random.default_rng((cfg.seed, 271828, t))
-        lam = (rng.uniform(0.5, 2.0)
-               * np.exp(2j * np.pi * rng.uniform(0.0, 1.0)))
-        verdicts.append(attained(lam))
+        targets.append(rng.uniform(0.5, 2.0)
+                       * np.exp(2j * np.pi * rng.uniform(0.0, 1.0)))
+    target = np.repeat(np.array(targets + [0j]), len(reps))
+
+    def rows(idx, X, L):
+        J_extra = np.zeros((len(idx), 2, A.n + 1), dtype=np.complex128)
+        J_extra[:, 0, :-1] = 2.0 * X
+        J_extra[:, 1, -1] = 1.0
+        return np.stack([np.sum(X * X, axis=1) - 1.0, L - target[idx]],
+                        axis=1), J_extra
+
+    hits = gauss_newton(build_shifted_system(A, 0.0),
+                        np.tile(X0, (trials + 1, 1)), np.tile(L0, trials + 1),
+                        rows, 1e-7)
+    *verdicts, zero = hits.reshape(trials + 1, len(reps)).any(axis=1)
     if any(verdicts) and not all(verdicts):
         raise RuntimeError(
             f"probe trials disagree: {sum(verdicts)}/{len(verdicts)} hits")
     if all(verdicts):
-        exceptions = () if attained(0j) else (0j,)
-        return ProbeResult(kind=COFINITE_COMPLEMENT, exceptions=exceptions,
-                           trials=trials)
+        return ProbeResult(kind=COFINITE_COMPLEMENT,
+                           exceptions=() if zero else (0j,), trials=trials)
     return ProbeResult(kind=FINITE_VALUES, values=report.normalized_values,
                        trials=trials)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from teneig import exact
 from teneig.exact import (
     ExactCharPoly,
     ExactPoly,
@@ -232,6 +233,30 @@ def test_singularity_independent_of_hyperdeterminant():
     listed = exact_222(LISTED)
     assert hyperdeterminant_222(listed) == gr(-1)
     assert is_singular_222(listed)
+
+
+def test_singularity_decided_by_the_resultant_first(monkeypatch):
+    # C8 = -Res(A x^2)^2, so a nonzero resultant proves the polynomial is
+    # not zero: is_singular_222 builds it only when Res = 0
+    pool = [0, 1, -1, 2, gr(0, 1), gr(0, -1), gr(Fraction(1, 2)), gr(1, 1)]
+    rng = np.random.default_rng(2718)
+    tensors = [exact_222([pool[i] for i in rng.integers(0, len(pool), 8)])
+               for _ in range(40)] + [exact_222(FINEPRINT), exact_222(LISTED)]
+    full = exact.charpoly_exact_2_3
+    built = []
+    monkeypatch.setattr(exact, "charpoly_exact_2_3",
+                        lambda A: built.append(A) or full(A))
+    verdicts = []
+    for A in tensors:
+        built.clear()
+        verdicts.append(is_singular_222(A))
+        cp = full(A)
+        assert verdicts[-1] == cp.is_zero()
+        res = resultant_quadratics_2(A)
+        assert cp.c8 == -(res * res)
+        assert len(built) == (res == gr(0))
+    assert 2 <= sum(verdicts) < sum(resultant_quadratics_2(A) == gr(0)
+                                    for A in tensors)
 
 
 def test_fineprint_charpoly_identically_zero():

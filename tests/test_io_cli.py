@@ -1,5 +1,6 @@
 """Tests for the tensor file format and the command-line interface."""
 
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -13,7 +14,8 @@ from teneig.cli import DEGENERATE, INPUT_ERROR, OK, main
 from teneig.exact import GaussianRational
 from teneig.tensorio import complex_pair, parse_tensor_json, report_to_json, sig15
 from teneig.homotopy import TrackerConfig
-from teneig.spectra import eigenclasses
+from teneig import spectra
+from teneig.spectra import eigenclasses, is_positive_semidefinite
 from teneig.tensor import Tensor
 
 DIAG32 = {"m": 3, "n": 2, "encoding": "dense",
@@ -215,6 +217,22 @@ def test_cli_psd(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "PSD: true"
 
 
+def test_cli_psd_undecided_on_a_report_that_lost_a_path(tmp_path, capsys,
+                                                        monkeypatch):
+    # a lost path could hide the one negative class: no verdict, exit 2
+    solve = spectra.eigenclasses
+    monkeypatch.setattr(spectra, "eigenclasses", lambda A, cfg=None:
+                        dataclasses.replace(solve(A, cfg), failed_paths=1))
+    neg = write(tmp_path, "neg.json", NEGQUARTIC)
+    with pytest.raises(RuntimeError, match="1 failed paths"):
+        is_positive_semidefinite(parse_tensor_json(json.dumps(NEGQUARTIC)).form)
+    assert main(["psd", neg]) == DEGENERATE
+    assert capsys.readouterr().out.strip() == "PSD: undecided"
+    assert main(["psd", neg, "--format", "machine"]) == DEGENERATE
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["psd"] is None and "1 failed paths" in obj["inconclusive"]
+
+
 def test_cli_singular(tmp_path, capsys):
     fp = write(tmp_path, "fineprint.json", FINEPRINT)
     assert main(["singular", fp]) == OK
@@ -311,7 +329,7 @@ def test_perfbench_cheap_operations_pass_their_checks(tmp_path, monkeypatch):
              "singular": ("eigenclasses isotropic ", "eigenclasses cre ",
                           "eigenclasses zero ", "eigenclasses family "),
              "commands": ("eig t32-", "eig t42-", "charpoly ", "hyperdet ",
-                          "singular ")}
+                          "singular ", "psd ")}
     for name, prefixes in cheap.items():
         load = workloads.build(name, 1, tmp_path / name)
         ops = [op for op in load.ops if op.label.startswith(prefixes)]

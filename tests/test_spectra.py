@@ -306,6 +306,101 @@ def test_probe_cofinite_implies_exact_singular():
     assert not is_singular_222(B)
 
 
+def family_tensor():
+    # A x^2 = (2 x1^2 + x2^2 + x3^2, 2 x1 x2, 2 x1 x3): a family of classes
+    arr = np.zeros((3, 3, 3), dtype=complex)
+    arr[0, 0, 0] = 2.0
+    for p in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0)]:
+        arr[p] = 1.0
+    return Tensor(3, 3, arr)
+
+
+def capture_slides(monkeypatch):
+    """Record every gauss_newton call of the probe and of grouping."""
+    calls = []
+    run = homotopy.gauss_newton
+
+    def capture(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(spectra, "gauss_newton", capture)
+    monkeypatch.setattr(homotopy, "gauss_newton", capture)
+    return calls
+
+
+def rows_alone(system, X, L, rows, tol):
+    """Each row of a slide stack run by itself, as a stack of one."""
+    return np.array([homotopy.gauss_newton(
+        system, X[[p]], L[[p]], lambda idx, x, lam, p=p: rows(idx + p, x, lam),
+        tol)[0] for p in range(len(X))])
+
+
+def test_stacked_slides_match_each_row_alone(monkeypatch):
+    calls = capture_slides(monkeypatch)
+    rational = parse_tensor_json(json.dumps({
+        "m": 3, "n": 2, "encoding": "dense",
+        "entries": [1, "1/2", -2, 3, "2/3", 0, 1, -1]})).tensor
+    through_zero = parse_tensor_json(json.dumps({
+        "m": 3, "n": 2, "encoding": "dense",
+        "entries": [1, 0, 0, 0, 0, "1/2", "1/2", 0]})).tensor
+    motzkin = tensor_from_form(PolyForm(6, 3, {
+        (4, 2, 0): 1.0, (2, 4, 0): 1.0, (2, 2, 2): -3.0, (0, 0, 6): 1.0}))
+    for run, A, hits in ((singular_probe, rational, "none"),
+                         (singular_probe, through_zero, "all"),
+                         (eigenclasses, family_tensor(), "all"),
+                         (eigenclasses, motzkin, "none")):
+        calls.clear()
+        run(A, cfg=CFG)
+        args = calls[-1]        # the probe's slides come after grouping's
+        stacked = homotopy.gauss_newton(*args)
+        assert {"none": not stacked.any(), "all": stacked.all()}[hits]
+        assert np.array_equal(stacked, rows_alone(*args))
+    # the family rows of the family tensor, the first start poisoned: its
+    # step is non-finite, and the other rows slide on as before
+    calls.clear()
+    eigenclasses(family_tensor(), CFG)
+    system, X, L, rows, tol = calls[0]
+    X = X.copy()
+    X[0] = np.nan
+    poisoned = homotopy.gauss_newton(system, X, L, rows, tol)
+    assert len(X) > 1 and not poisoned[0] and poisoned[1:].all()
+    assert np.array_equal(poisoned, rows_alone(system, X, L, rows, tol))
+
+
+def test_probe_and_grouping_slide_in_one_stacked_call(monkeypatch):
+    calls, evals = [], []
+    run = homotopy.gauss_newton
+
+    class Counted:
+        def __init__(self, system):
+            self.system = system
+
+        def value_and_jacobian(self, x):
+            evals.append(x.shape)
+            return self.system.value_and_jacobian(x)
+
+    def counted(system, X, *args):
+        calls.append(len(X))
+        return run(Counted(system), X, *args)
+
+    monkeypatch.setattr(spectra, "gauss_newton", counted)
+    monkeypatch.setattr(homotopy, "gauss_newton", counted)
+    # a generic tensor: grouping slides nothing (no singular class), and
+    # the probe's rows, 5 trials and lam = 0 times 3 classes, all miss
+    # within the 40 evaluations of one call; rows that stall leave it
+    singular_probe(rand_tensor(3, 2, np.random.default_rng(58)), cfg=CFG)
+    assert calls == [6 * 3]
+    assert 0 < len(evals) <= 40
+    assert evals[0] == (6 * 3, 2) and all(len(s) == 2 for s in evals)
+    assert evals[-1][0] < evals[0][0]
+    for A in (family_tensor(), diag_tensor([0.0, 0.0, 0.0], 3),
+              fineprint_tensor()):
+        calls.clear()
+        eigenclasses(A, CFG)
+        assert len(calls) == 1
+
+
 def test_matrix_charpoly_against_companion_roots():
     rng = np.random.default_rng(57)
     for _ in range(3):
