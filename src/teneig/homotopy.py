@@ -12,10 +12,19 @@ Cauchy-integral endgame: the path is continued around small circles
 limit point; the radius is halved until consecutive circles agree.
 
 All paths of a solve advance in lockstep (as in HomotopyContinuation.jl,
-Breiding and Timme, ICMS 2018).  Each path's control flow is a generator
-that yields the numeric work it needs next and is sent the answer;
-`track_all` answers the pending requests of all paths with one call per
-kind on a stack of points (P, n+1).
+Breiding and Timme, ICMS 2018).  Up to the endgame circle each path's t,
+step and tangent are arrays, and each round makes one stacked
+predictor/corrector step.  A path's next step follows the corrector's
+total correction e on its last one, h clip(0.9 (STEP_TOL/e)^(1/5), 1/2, 4),
+with no growth right after a rejection (step control from the path's own
+local error, as in Telen, Van Barel and Verschelde, SISC 2020).  The
+corrector's last solve takes -dH/dt as a second right-hand side, which
+is the next predictor's first stage.  A regular root is reached by one
+path only, so two regular endpoints on one point mean a path jumped;
+both are tracked again at a 1000-fold tighter STEP_TOL.  In the endgame
+each path's control flow is a generator that yields the numeric work it
+needs next and is sent the answer; `track_all` answers the pending
+requests of all paths with one call per kind on a stack (P, n+1).
 
 `group_into_classes` decides every class where it lies, from the
 endpoints of the one solve: the Jacobian condition in the unit chart
@@ -61,7 +70,8 @@ ENDGAME_SAMPLES = 16            # nodes per loop on the endgame circle
 MAX_WINDING = 24                # give up if the cycle has not closed by then
 MAX_RADIUS_HALVINGS = 6         # endgame radius adaptation budget
 MAX_STEPS = 6000                # hard per-path step budget
-INITIAL_STEP = 0.05             # first (and largest) step in t
+INITIAL_STEP = 0.05             # first step in t; STEP_TOL sets the later ones
+STEP_TOL = 1e-3                 # relative corrector correction a step aims at
 MIN_STEP = 1e-7                 # a path whose step falls below this fails
 CORRECTOR_TOL = 1e-11           # Newton update size that ends a correction
 MAX_CORRECTOR_ITERS = 3         # Newton iterations per predictor step
@@ -127,9 +137,11 @@ class _Homotopy:
         U[:, -1] = (1.0 - U[:, : self.neq] @ c[: self.neq]) / c[-1]
         return U
 
-    def target_residual(self, u: np.ndarray) -> float:
-        r = float(np.max(np.abs(self.sys.value_and_jacobian(u)[0])))
-        return max(r, abs(self.patch @ u - 1.0))
+    def target_residual(self, u: np.ndarray):
+        """Max-norm residual of F and the patch at u, or per row of a stack."""
+        r = np.maximum(np.abs(self.sys.value_and_jacobian(u)[0]).max(axis=-1),
+                       np.abs(u @ self.patch - 1.0))
+        return float(r) if u.ndim == 1 else r
 
     def _assemble(self, U: np.ndarray, t: np.ndarray):
         """H (P, v) and its u-Jacobians (P, v, v) at the rows of U, row p
@@ -157,73 +169,88 @@ class _Homotopy:
         return _solve(J, rhs)
 
     def newton(self, U: np.ndarray, t: np.ndarray, tol: float, iters: int):
-        """Newton on each row of U at its own t: (rows, converged mask).
+        """Newton on each row of U at its own t.
+
+        Returns the rows, a converged mask, each row's total correction
+        relative to 1 + |u|, and du/dt at each row: every solve takes
+        -dH/dt as a second right-hand side, so a converged row comes with
+        the tangent its next predictor starts from, taken before the last
+        (small) update; NaN where no solve was made.
 
         A row is done on a small update, or on a residual at the machine
         floor: near rank-deficient roots the update stagnates around
         cond*eps while the residual is already exact.  Done rows leave
         the stack; a singular Jacobian fails only its own row.
         """
+        U0 = U
         U = U.copy()
+        K = np.full_like(U, np.nan)
         ok = np.zeros(len(U), dtype=bool)
         live = np.arange(len(U))
         for it in range(iters + 1):
             if not live.size:
                 break
-            H, J, _, _ = self._assemble(U[live], t[live])
+            H, J, F, g = self._assemble(U[live], t[live])
             floor = np.abs(H).max(axis=1) <= 1e-13
             ok[live[floor]] = True
             if it == iters:
                 break
-            du, solved = _solve(J[~floor], -H[~floor])
-            live, du = live[~floor][solved], du[solved]
-            U[live] += du
-            small = (np.abs(du).max(axis=1)
+            rhs = np.zeros(H.shape + (2,), dtype=np.complex128)
+            rhs[:, :, 0] = -H
+            rhs[:, : self.neq, 1] = self.gamma * g - F
+            X, solved = _solve(J[~floor], rhs[~floor])
+            live, X = live[~floor][solved], X[solved]
+            U[live] += X[:, :, 0]
+            K[live] = X[:, :, 1]
+            small = (np.abs(X[:, :, 0]).max(axis=1)
                      <= tol * (1.0 + np.abs(U[live]).max(axis=1)))
             ok[live[small]] = True
             live = live[~small]
-        return U, ok
+        err = np.abs(U - U0).max(axis=1) / (1.0 + np.abs(U).max(axis=1))
+        return U, ok, err, K
 
     def step(self, U: np.ndarray, t: np.ndarray, h: np.ndarray,
-             tol: float, iters: int):
-        """Fourth-order predictor from t to t + h, then Newton at t + h."""
+             tol: float, iters: int, k1: np.ndarray | None = None):
+        """Fourth-order predictor from t to t + h, then Newton at t + h;
+        returns what `newton` returns.  `k1` is du/dt at U, NaN in the
+        rows where it is not known; those rows compute it here."""
         hc = h[:, None]
-        k1, ok1 = self.tangent(U, t)
+        ok = np.ones(len(U), dtype=bool)
+        k1 = np.full_like(U, np.nan) if k1 is None else k1.copy()
+        miss = np.isnan(k1).any(axis=1)
+        if miss.any():
+            k1[miss], ok[miss] = self.tangent(U[miss], t[miss])
         k2, ok2 = self.tangent(U + 0.5 * hc * k1, t + 0.5 * h)
         k3, ok3 = self.tangent(U + 0.5 * hc * k2, t + 0.5 * h)
         k4, ok4 = self.tangent(U + hc * k3, t + h)
         up = U + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ok = ok1 & ok2 & ok3 & ok4
-        corrected, converged = self.newton(up[ok], (t + h)[ok], tol, iters)
-        up[ok] = corrected
+        ok &= ok2 & ok3 & ok4
+        err = np.full(len(U), np.inf)
+        K = np.full_like(U, np.nan)
+        up[ok], converged, err[ok], K[ok] = self.newton(
+            up[ok], (t + h)[ok], tol, iters)
         ok[ok] = converged
-        return up, ok
-
-    def condition_at(self, u: np.ndarray) -> float:
-        _, J, _, _ = self._assemble(u[None], np.ones(1, dtype=np.complex128))
-        try:
-            return float(np.linalg.cond(J[0]))
-        except np.linalg.LinAlgError:
-            return float("inf")
+        return up, ok, err, K
 
 
 def _solve(J: np.ndarray, rhs: np.ndarray):
-    """x with J[p] x[p] = rhs[p], and which rows were solved; a singular
-    J[p] fails only row p, which stays zero."""
+    """x with J[p] x[p] = rhs[p], for rhs (P, v) or (P, v, k), and which
+    rows were solved; a singular J[p] fails only row p, which stays zero."""
+    B = rhs[:, :, None] if rhs.ndim == 2 else rhs
     solved = np.ones(len(J), dtype=bool)
     try:
-        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], solved
+        return np.linalg.solve(J, B).reshape(rhs.shape), solved
     except np.linalg.LinAlgError:       # raised if any one J[p] is singular
-        x = np.zeros_like(rhs)
+        x = np.zeros_like(B)
         for p in range(len(J)):
             try:
-                x[p] = np.linalg.solve(J[p], rhs[p])
+                x[p] = np.linalg.solve(J[p], B[p])
             except np.linalg.LinAlgError:
                 solved[p] = False
-        return x, solved
+        return x.reshape(rhs.shape), solved
 
 
-# The requests a path generator yields, each answered with (u, ok):
+# The requests an endgame generator yields, each answered with (u, ok):
 #   ("step", u, t, h, tol, iters): `_Homotopy.step` from t to t + h
 #   ("newton", u, t, tol, iters):  `_Homotopy.newton` at t
 
@@ -325,50 +352,101 @@ def _finish_endgame(hom: _Homotopy, u: np.ndarray, steps: int):
     return PathOutcome(status, None, hom.target_residual(u), steps, 0)
 
 
-def _track_one(hom: _Homotopy, u0: np.ndarray):
-    u = u0.astype(np.complex128, copy=True)
-    t = 0.0
-    h = INITIAL_STEP
-    streak = 0
-    steps = 0
+def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
+                steps: np.ndarray):
+    """Track the rows of U0 from t = 0 to 1 - ENDGAME_RADIUS as one stack,
+    each at its own t and step, with the step rule of the module docstring
+    at tolerance `tol`; a rejected step halves h.
+
+    Every row at the edge then gets one stacked Newton at t = 1.  A
+    small, well-conditioned correction there is a regular endpoint.  A
+    clustered endpoint reached by plain Newton is only sqrt(res)
+    accurate, and a large correction means the iterate left the path
+    (e.g. a path escaping to infinity pulled onto a finite root): those
+    rows go to the endgame.  Returns (outcomes, U, steps): an outcome
+    per row, None for a row left for the endgame from U[p] at the edge,
+    and each row's step count, counted on from `steps`.
+    """
+    P = len(U0)
     t_edge = 1.0 - ENDGAME_RADIUS
-    while t < t_edge:
-        steps += 1
-        if steps > MAX_STEPS:
-            return PathOutcome(STEP_UNDERFLOW, None, hom.target_residual(u),
-                               steps, 0)
-        hh = min(h, t_edge - t)
-        un, ok = yield ("step", u, t, hh, CORRECTOR_TOL, MAX_CORRECTOR_ITERS)
-        if ok:
-            u = un
-            t += hh
-            if np.max(np.abs(u)) > DIVERGENCE_BOUND:
-                return PathOutcome(DIVERGED, None, float("inf"), steps, 0)
-            streak += 1
-            if streak >= 4:
-                h = min(2.0 * h, INITIAL_STEP)
-                streak = 0
-        else:
-            streak = 0
-            h *= 0.5
-            if h < MIN_STEP:
-                return PathOutcome(STEP_UNDERFLOW, None, hom.target_residual(u),
-                                   steps, 0)
-    # regular endpoints jump straight to t = 1; the jump must be a small
-    # correction or the Newton iterate left the tracked path (e.g. a path
-    # escaping to infinity getting pulled onto a finite root)
-    uf, _ = yield ("newton", u, 1.0, REFINE_TARGET, 12)
-    res = hom.target_residual(uf)
-    unorm = float(np.max(np.abs(u)))
-    jump = float(np.max(np.abs(uf - u)))
-    if res <= ACCEPT_RESIDUAL and jump <= 1e-2 * (1.0 + unorm):
-        # a clustered endpoint reached by plain Newton is only sqrt(res)
-        # accurate; route anything ill-conditioned through the endgame,
-        # whose circle mean cancels the fractional-power error exactly
-        if hom.condition_at(uf) <= 1e6:
-            uf.setflags(write=False)
-            return PathOutcome(CONVERGED, uf, res, steps, 0)
-    return (yield from _finish_endgame(hom, u, steps))
+    U = U0.copy()
+    K = np.full_like(U, np.nan)                 # du/dt at U where known
+    T = np.zeros(P)
+    H = np.full(P, INITIAL_STEP)
+    steps = steps.copy()
+    grow = np.ones(P, dtype=bool)               # False right after a rejection
+    diverged = np.zeros(P, dtype=bool)
+    underflow = np.zeros(P, dtype=bool)
+    live = np.arange(P)
+    while live.size:
+        steps[live] += 1
+        t = T[live]
+        h = np.where(t_edge - t <= 1.01 * H[live], t_edge - t, H[live])
+        Un, ok, err, Kn = hom.step(U[live], t, h, CORRECTOR_TOL,
+                                   MAX_CORRECTOR_ITERS, K[live])
+        acc, rej = live[ok], live[~ok]
+        U[acc], K[acc] = Un[ok], Kn[ok]
+        T[acc] = np.where(h[ok] == t_edge - t[ok], t_edge, t[ok] + h[ok])
+        gain = np.clip(0.9 * (tol / np.maximum(err[ok], 1e-300)) ** 0.2,
+                       0.5, 4.0)
+        H[acc] = h[ok] * np.where(grow[acc], gain, np.minimum(gain, 1.0))
+        H[rej] = 0.5 * h[~ok]
+        grow[acc], grow[rej] = True, False
+        diverged[acc] = np.abs(U[acc]).max(axis=1) > DIVERGENCE_BOUND
+        underflow[rej] = H[rej] < MIN_STEP
+        live = live[(T[live] < t_edge) & ~diverged[live] & ~underflow[live]]
+        underflow[live] = steps[live] >= MAX_STEPS
+        live = live[~underflow[live]]
+
+    outcomes: list = [None] * P
+    for p in np.flatnonzero(diverged):
+        outcomes[p] = PathOutcome(DIVERGED, None, float("inf"), int(steps[p]), 0)
+    lost = np.flatnonzero(underflow)
+    if lost.size:
+        for p, res in zip(lost, hom.target_residual(U[lost])):
+            outcomes[p] = PathOutcome(STEP_UNDERFLOW, None, float(res),
+                                      int(steps[p]), 0)
+    edge = np.flatnonzero(~diverged & ~underflow)
+    if not edge.size:
+        return outcomes, U, steps
+    ones = np.ones(len(edge))
+    UF = hom.newton(U[edge], ones, REFINE_TARGET, 12)[0]
+    R, J, _, _ = hom._assemble(UF, ones)
+    res = np.abs(R).max(axis=1)                 # F and the patch at t = 1
+    jump = np.abs(UF - U[edge]).max(axis=1)
+    near = ((res <= ACCEPT_RESIDUAL) & np.isfinite(J).all(axis=(1, 2))
+            & (jump <= 1e-2 * (1.0 + np.abs(U[edge]).max(axis=1))))
+    cond = np.full(len(edge), np.inf)
+    cond[near] = np.linalg.cond(J[near])
+    regular = cond <= 1e6
+    for p, uf, r in zip(edge[regular], UF[regular], res[regular]):
+        uf.setflags(write=False)
+        outcomes[p] = PathOutcome(CONVERGED, uf, float(r), int(steps[p]), 0)
+    return outcomes, U, steps
+
+
+def _coincident(U: np.ndarray) -> np.ndarray:
+    """Which rows of U lie within 1e-8 (1 + |u|) of another row, as a mask.
+
+    Rows are sorted by a real projection z = Re(w.u) with |w_k| = 1, which
+    two such rows share to within v times the tolerance; only rows that
+    close in z are compared, one sorted offset at a time, in O(P v)
+    memory.
+    """
+    tol = 1e-8 * (1.0 + np.abs(U).max(axis=1))
+    z = (U @ np.exp(1j * np.arange(U.shape[1]))).real
+    order = np.argsort(z)
+    Us, z, tol = U[order], z[order], tol[order]
+    reach = U.shape[1] * tol.max(initial=0.0)
+    near = np.zeros(len(U), dtype=bool)
+    for k in range(1, len(U)):
+        i = np.flatnonzero(z[k:] - z[:-k] <= reach)
+        if not i.size:
+            break
+        i = i[np.abs(Us[i + k] - Us[i]).max(axis=1)
+              <= np.maximum(tol[i], tol[i + k])]
+        near[i] = near[i + k] = True
+    return near[np.argsort(order)]
 
 
 def _draw_complex(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -392,14 +470,30 @@ def _materialize(system: PolySystem, cfg: TrackerConfig) -> _Homotopy:
 
 def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]:
     """Track every total-degree path of the system; one outcome per path,
-    in start-point order.  All paths advance together: each round
-    gathers the pending request of every live path and answers each
-    kind of request with one stacked call; a path retires when its
-    generator returns."""
+    in start-point order.
+
+    `_line_phase` takes every path to the endgame edge as one stack.  A
+    regular root is reached by one path only, so two regular endpoints
+    on one point mean a path jumped: both are tracked again at a
+    1000-fold tighter step tolerance.  The paths left for the endgame
+    then advance together: each round gathers the pending request of
+    every live endgame generator and answers each kind of request with
+    one stacked call; a path retires when its generator returns."""
     hom = _materialize(system, cfg)
-    paths = [_track_one(hom, u0) for u0 in hom.start_points()]
-    outcomes: list = [None] * len(paths)
-    answers = dict.fromkeys(range(len(paths)))
+    U0 = hom.start_points()
+    outcomes, U, steps = _line_phase(hom, U0, STEP_TOL,
+                                     np.zeros(len(U0), dtype=int))
+    regular = np.flatnonzero([o is not None and o.converged for o in outcomes])
+    ends = np.array([outcomes[p].endpoint for p in regular]).reshape(-1, U.shape[1])
+    again = regular[_coincident(ends)]
+    if again.size:
+        redo, U[again], steps[again] = _line_phase(
+            hom, U0[again], 1e-3 * STEP_TOL, steps[again])
+        for p, out in zip(again, redo):
+            outcomes[p] = out
+    paths = {p: _finish_endgame(hom, U[p], int(steps[p]))
+             for p, out in enumerate(outcomes) if out is None}
+    answers = dict.fromkeys(paths)
     while answers:
         pending = {}
         for i, answer in answers.items():
@@ -414,8 +508,8 @@ def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]
         for (kind, tol, iters), idx in groups.items():
             columns = (np.array(c, dtype=np.complex128)
                        for c in zip(*(pending[i][1:-2] for i in idx)))
-            U, ok = getattr(hom, kind)(*columns, tol, iters)
-            answers.update(zip(idx, zip(U, ok)))
+            U_, ok = getattr(hom, kind)(*columns, tol, iters)[:2]
+            answers.update(zip(idx, zip(U_, ok)))
     return tuple(outcomes)
 
 
@@ -423,11 +517,11 @@ def _cluster_key(lam: complex, x: np.ndarray):
     return tuple(round(v, 7) for z in (lam, *x) for v in (z.real, z.imag))
 
 
-def _same_class(lam1, x1, lam2, x2, tol: float) -> bool:
-    if abs(lam1 - lam2) > tol * (1.0 + abs(lam1)):
-        return False
-    scale = max(1.0, float(np.max(np.abs(x1))))
-    return float(np.max(np.abs(x1 - x2))) <= tol * scale
+def _key_order(Y: np.ndarray) -> np.ndarray:
+    """The stable order of the rows (lam, *x) of Y by `_cluster_key`,
+    from one rounding of the whole stack."""
+    keys = np.round(np.stack([Y.real, Y.imag], axis=-1).reshape(len(Y), -1), 7)
+    return np.lexsort(keys.T[::-1])
 
 
 def _eigen_rows(system: PolySystem, x: np.ndarray, lam):
@@ -531,15 +625,30 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
         pairs.append(canonicalize(
             EigenPair(u[n] ** k, x, residual=out.residual), m))
 
-    pairs.sort(key=lambda p: _cluster_key(p.lam, p.x))
+    def stack(ps):                      # a row (lam, *x) per pair
+        return np.array([(p.lam, *p.x) for p in ps],
+                        dtype=np.complex128).reshape(-1, n + 1)
+
+    Y = stack(pairs)
+    order = _key_order(Y)
+    pairs, Y = [pairs[i] for i in order], Y[order]
+    # each pair, in key order, joins the first cluster whose first pair
+    # (lam1, x1) has |lam1 - lam| <= tol (1 + |lam1|) and
+    # |x1 - x| <= tol max(1, |x1|), tested against all first pairs at once
+    tol = cfg.cluster_radius * np.stack(
+        [1.0 + np.abs(Y[:, 0]), np.maximum(1.0, np.abs(Y[:, 1:]).max(axis=1))],
+        axis=1)
+    heads = np.empty(len(pairs), dtype=int)     # first pair of each cluster
     clusters: list[list] = []
-    for pair in pairs:
-        for cl in clusters:
-            if _same_class(cl[0].lam, cl[0].x, pair.lam, pair.x,
-                           cfg.cluster_radius):
-                cl.append(pair)
-                break
+    for i, pair in enumerate(pairs):
+        h = heads[: len(clusters)]
+        d = np.abs(Y[h] - Y[i])
+        near = np.flatnonzero((d[:, 0] <= tol[h, 0])
+                              & (d[:, 1:].max(axis=1) <= tol[h, 1]))
+        if near.size:
+            clusters[near[0]].append(pair)
         else:
+            heads[len(clusters)] = i
             clusters.append([pair])
 
     shifted = build_shifted_system(A, 0.0)
@@ -567,8 +676,8 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
                                   normalized_lambdas=normalized_eigenvalues(rep, m),
                                   cluster_size=size, condition=float(cond)))
 
-    classes.sort(key=lambda c: _cluster_key(c.representative.lam,
-                                            c.representative.x))
+    order = _key_order(stack([c.representative for c in classes]))
+    classes = [classes[i] for i in order]
     diag = GroupDiagnostics(failed_paths=failed, trivial_paths=trivial,
                             degenerate_clusters=degenerate,
                             positive_dimensional=bool(family.any()))

@@ -316,8 +316,9 @@ def test_perfbench_traced_names_resolve():
 
 def test_perfbench_cheap_operations_pass_their_checks(tmp_path, monkeypatch):
     # the benchmark checks every output against references that never
-    # call teneig; its cheap operations run here, so that an output the
-    # benchmark would reject fails this suite first
+    # call teneig; its cheap operations, and every generic solve, run
+    # here, so that an output the benchmark would reject fails this
+    # suite first
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location(
@@ -325,7 +326,7 @@ def test_perfbench_cheap_operations_pass_their_checks(tmp_path, monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
-    cheap = {"generic": ("eigenclasses m3n3 ",),
+    cheap = {"generic": ("eigenclasses ",),
              "singular": ("eigenclasses isotropic ", "eigenclasses cre ",
                           "eigenclasses zero ", "eigenclasses family "),
              "commands": ("eig t32-", "eig t42-", "charpoly ", "hyperdet ",

@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from teneig import spectra
+from teneig import homotopy, spectra
 from teneig.homotopy import (
     ACCEPT_RESIDUAL,
     CONVERGED,
     CORRECTOR_TOL,
+    STEP_TOL,
     TrackerConfig,
+    _Homotopy,
     _materialize,
     _solve,
-    _track_one,
     group_into_classes,
     track_all,
 )
@@ -201,47 +202,70 @@ def test_stacked_solve_fails_only_singular_rows():
     U = np.array(hom.start_points()[:3])
     U[1] = 0.0
     t = np.array([0.5, 0.5, 0.25], dtype=complex)
-    V, ok = hom.newton(U, t, CORRECTOR_TOL, 3)
+    V, ok = hom.newton(U, t, CORRECTOR_TOL, 3)[:2]
     assert not ok[1] and np.array_equal(V[1], U[1])
     for p in (0, 2):
-        Vp, okp = hom.newton(U[p:p + 1], t[p:p + 1], CORRECTOR_TOL, 3)
+        Vp, okp = hom.newton(U[p:p + 1], t[p:p + 1], CORRECTOR_TOL, 3)[:2]
         assert ok[p] == okp[0]
         assert np.allclose(V[p], Vp[0], rtol=1e-13, atol=1e-13)
 
 
-def track_alone(hom, u0):
-    """One path tracked by itself, every request answered as a one-row stack."""
-    path, answer = _track_one(hom, u0), None
-    while True:
-        try:
-            kind, *args = path.send(answer)
-        except StopIteration as done:
-            return done.value
-        *columns, tol, iters = args
-        U, ok = getattr(hom, kind)(
-            *(np.array([c], dtype=complex) for c in columns), tol, iters)
-        answer = U[0], ok[0]
+def track_alone(system, p):
+    """Path p tracked by itself: track_all with its start point as a
+    one-row stack."""
+    starts = _Homotopy.start_points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Homotopy, "start_points", lambda hom: starts(hom)[p:p + 1])
+        (out,) = track_all(system, CFG)
+    return out
 
 
 def test_track_all_outcomes_follow_start_points():
-    # lockstep tracking returns, in start-point order, what tracking each
-    # path alone returns; the Cremona tensor sends paths into the endgame
+    # the stacked line phase and endgame return, in start-point order,
+    # what tracking each path alone returns; the Cremona tensor sends
+    # paths into the endgame
     rng = np.random.default_rng(10)
     cre = np.zeros((3, 3, 3), dtype=complex)
     cre[0, 0, 1], cre[1, 0, 2], cre[2, 1, 2] = 1.0, 1.0, 2.0
     for A, endgame in ((rand_tensor(4, 2, rng), False), (Tensor(3, 3, cre), True)):
         system = build_eigen_system(A)
         outs = track_all(system, CFG)
-        hom = _materialize(system, CFG)
-        starts = hom.start_points()
-        assert len(outs) == len(starts)
-        for out, u0 in zip(outs, starts):
-            alone = track_alone(hom, u0)
+        assert len(outs) == len(_materialize(system, CFG).start_points())
+        for p, out in enumerate(outs):
+            alone = track_alone(system, p)
             assert (out.status, out.steps, out.winding) == \
                 (alone.status, alone.steps, alone.winding)
             if out.converged:
                 assert np.allclose(out.endpoint, alone.endpoint, rtol=1e-8, atol=1e-8)
         assert any(o.winding > 0 for o in outs) == endgame
+
+
+def test_jumped_paths_are_tracked_again(monkeypatch):
+    # a regular root is reached by one path only: when the first pass
+    # puts path j on path i's endpoint, exactly i and j are tracked
+    # again, at a tighter step tolerance, and the report is clean
+    A = rand_tensor(3, 3, np.random.default_rng(12))
+    system = build_eigen_system(A)
+    starts = _materialize(system, CFG).start_points()
+    want = eigenclasses(A, CFG)
+    line_phase, calls = homotopy._line_phase, []
+
+    def jumping(hom, U0, tol, steps):
+        outcomes, U, steps = line_phase(hom, U0, tol, steps)
+        calls.append((tol, U0))
+        if len(calls) == 1:
+            outcomes[5] = outcomes[2]
+        return outcomes, U, steps
+
+    monkeypatch.setattr(homotopy, "_line_phase", jumping)
+    report = eigenclasses(A, CFG)
+    assert [tol for tol, _ in calls] == [STEP_TOL, 1e-3 * STEP_TOL]
+    assert np.array_equal(calls[1][1], starts[[2, 5]])
+    assert report.clean
+    assert len(report.classes) == len(want.classes) == expected_count(3, 3)
+    for got, ref in zip(report.classes, want.classes):
+        assert abs(got.representative.lam - ref.representative.lam) < 1e-8
+        assert np.allclose(got.representative.x, ref.representative.x, atol=1e-8)
 
 
 def test_converged_endpoint_residuals(monkeypatch):
@@ -266,6 +290,15 @@ def test_converged_endpoint_residuals(monkeypatch):
         assert dg.degenerate_clusters == 1
         monkeypatch.setattr(spectra, "track_all", lambda system, cfg: doubled)
         assert not eigenclasses(A, CFG).clean
+
+
+def test_count_theorem_at_scale():
+    # 128 to 256 paths per solve, beyond the shapes of criterion 01
+    for m, n in [(3, 7), (4, 5), (5, 4)]:
+        report = eigenclasses(rand_tensor(m, n, np.random.default_rng([m, n, 11])), CFG)
+        assert report.clean
+        assert len(report.classes) == expected_count(m, n)
+        assert all(c.multiplicity == 1 for c in report.classes)
 
 
 def test_seed_robustness():
