@@ -6,25 +6,20 @@ eigen-system, one more variable than equations, closed with a random
 affine patch <c, u> = 1 that is held exact throughout.  The predictor is
 a fourth-order explicit step on the Davidenko ODE, the corrector plain
 Newton.  Endpoints that land on singular roots (clusters of coalescing
-paths, e.g. the multiplicity m-2 bundles at lam = 0) are finished with a
-Cauchy-integral endgame: the path is continued around small circles
-|1 - t| = r until it closes up, and the mean over the cycle gives the
-limit point; the radius is halved until consecutive circles agree.
+paths, e.g. the multiplicity m-2 bundles at lam = 0) are finished by the
+Cauchy-integral endgame of `endgame.py`.
 
 All paths of a solve advance in lockstep (as in HomotopyContinuation.jl,
-Breiding and Timme, ICMS 2018).  Up to the endgame circle each path's t,
-step and tangent are arrays, and each round makes one stacked
-predictor/corrector step.  A path's next step follows the corrector's
-total correction e on its last one, h clip(0.9 (STEP_TOL/e)^(1/5), 1/2, 4),
-with no growth right after a rejection (step control from the path's own
-local error, as in Telen, Van Barel and Verschelde, SISC 2020).  The
-corrector's last solve takes -dH/dt as a second right-hand side, which
-is the next predictor's first stage.  A regular root is reached by one
-path only, so two regular endpoints on one point mean a path jumped;
-both are tracked again at a 1000-fold tighter STEP_TOL.  In the endgame
-each path's control flow is a generator that yields the numeric work it
-needs next and is sent the answer; `track_all` answers the pending
-requests of all paths with one call per kind on a stack (P, n+1).
+Breiding and Timme, ICMS 2018): each path's t, step and tangent are
+arrays, and each round makes one stacked predictor/corrector step.  A
+path's next step follows the corrector's total correction e on its last
+one, h clip(0.9 (STEP_TOL/e)^(1/5), 1/2, 4), with no growth right after
+a rejection (step control from the path's own local error, as in Telen,
+Van Barel and Verschelde, SISC 2020).  The corrector's last solve takes
+-dH/dt as a second right-hand side, which is the next predictor's first
+stage.  A regular root is reached by one path only, so two regular
+endpoints on one point mean a path jumped; both are tracked again at a
+1000-fold tighter STEP_TOL.
 
 `group_into_classes` decides every class where it lies, from the
 endpoints of the one solve: the Jacobian condition in the unit chart
@@ -59,16 +54,6 @@ REFINE_TARGET = 1e-12           # endpoint Newton refinement goal
 TRIVIAL_X = 1e-8                # |x| below this fraction of |u| is the zero solution
 POSITIVE_DIM_COND = 1e10        # unit-chart Jacobian condition of a singular class
 ENDGAME_RADIUS = 1e-6           # outer circle radius around t = 1
-ENDGAME_SAMPLES = 16            # nodes per loop on the endgame circle
-# A cycle of winding w is analytic in s = (1 - t)^(1/w), and the w loops of
-# the t-circle make one s-circle of radius r^(1/w) with 16*w equispaced
-# nodes.  The trapezoid mean there is off from the endpoint only by the
-# s-Taylor terms of order 16*w and up, which scale like r^16: at
-# r = 1e-6 that is far below ACCEPT_RESIDUAL.  On the Motzkin sextic, 16
-# nodes give the same windings and classes as 32, with endpoints within
-# 2.2e-13.
-MAX_WINDING = 24                # give up if the cycle has not closed by then
-MAX_RADIUS_HALVINGS = 6         # endgame radius adaptation budget
 MAX_STEPS = 6000                # hard per-path step budget
 INITIAL_STEP = 0.05             # first step in t; STEP_TOL sets the later ones
 STEP_TOL = 1e-3                 # relative corrector correction a step aims at
@@ -250,108 +235,6 @@ def _solve(J: np.ndarray, rhs: np.ndarray):
         return x.reshape(rhs.shape), solved
 
 
-# The requests an endgame generator yields, each answered with (u, ok):
-#   ("step", u, t, h, tol, iters): `_Homotopy.step` from t to t + h
-#   ("newton", u, t, tol, iters):  `_Homotopy.newton` at t
-
-
-def _arc_step(u: np.ndarray, t0: complex, t1: complex, depth: int = 0):
-    """Continue u from t0 to t1 along the chord; bisect on failure."""
-    un, ok = yield ("step", u, t0, t1 - t0, CORRECTOR_TOL,
-                    MAX_CORRECTOR_ITERS + 2)
-    if ok:
-        return un, True
-    if depth >= 5:
-        return u, False
-    tm = 0.5 * (t0 + t1)
-    um, ok = yield from _arc_step(u, t0, tm, depth + 1)
-    if not ok:
-        return u, False
-    return (yield from _arc_step(um, tm, t1, depth + 1))
-
-
-def _cauchy_circle(u_start: np.ndarray, radius: float):
-    """Loop t = 1 - radius*exp(i theta) until the path closes.
-
-    Returns (mean over the closed cycle, winding, closure flag, node count,
-    final point).  The mean over the uniform nodes of the full cycle is
-    off from the endpoint at t = 1 by O(radius^16); see ENDGAME_SAMPLES.
-    """
-    nodes_per_loop = ENDGAME_SAMPLES
-    dth = 2.0 * np.pi / nodes_per_loop
-    u = u_start.copy()
-    total = np.zeros_like(u)
-    count = 0
-    for loop in range(MAX_WINDING):
-        for k in range(nodes_per_loop):
-            total += u
-            th0 = (loop * nodes_per_loop + k) * dth
-            th1 = th0 + dth
-            t0 = 1.0 - radius * np.exp(1j * th0)
-            t1 = 1.0 - radius * np.exp(1j * th1)
-            u, ok = yield from _arc_step(u, t0, t1)
-            count += 1
-            if not ok or np.max(np.abs(u)) > DIVERGENCE_BOUND:
-                return None, 0, False, count, u
-        err = np.max(np.abs(u - u_start)) / (1.0 + np.max(np.abs(u_start)))
-        if err <= 1e-4:
-            return total / count, loop + 1, True, count, u
-    return None, 0, False, count, u
-
-
-def _walk_radius(u: np.ndarray, r0: float, r1: float):
-    """Move along the real t axis from 1-r0 to 1-r1 by short Newton hops."""
-    steps = 8
-    for k in range(1, steps + 1):
-        r = r0 * (r1 / r0) ** (k / steps)
-        u, ok = yield ("newton", u, 1.0 - r, CORRECTOR_TOL,
-                       MAX_CORRECTOR_ITERS + 3)
-        if not ok:
-            return u, False
-    return u, True
-
-
-def _finish_endgame(hom: _Homotopy, u: np.ndarray, steps: int):
-    """Cauchy-integral endgame with an adaptive radius.
-
-    The circle mean equals the endpoint only while the disk |1 - t| <= r
-    contains no branch point of the path field besides t = 1 itself;
-    stray branch points inside the disk corrupt both the winding and the
-    mean (the loop then closes around a sub-bundle of sheets).  Halving
-    the radius until two consecutive circles agree on winding and mean
-    filters them out.
-    """
-    escaping = float(np.max(np.abs(u))) > 1e3
-    r = ENDGAME_RADIUS
-    prev_est = None
-    prev_w = 0
-    for _ in range(MAX_RADIUS_HALVINGS):
-        est, w, ok, n, u_back = yield from _cauchy_circle(u, r)
-        steps += n
-        if ok:
-            res = hom.target_residual(est)
-            if res <= ACCEPT_RESIDUAL:
-                agree = (prev_est is not None and prev_w == w
-                         and float(np.max(np.abs(est - prev_est)))
-                         <= 1e-8 * (1.0 + float(np.max(np.abs(est)))))
-                if agree:
-                    est.setflags(write=False)
-                    return PathOutcome(CONVERGED, est, res, steps, w)
-            prev_est, prev_w = est, w
-            u = u_back
-        else:
-            prev_est, prev_w = None, 0
-            if float(np.max(np.abs(u_back))) > DIVERGENCE_BOUND:
-                break
-        u, okw = yield from _walk_radius(u, r, r / 2.0)
-        if not okw:
-            break
-        r /= 2.0
-    # an estimate never confirmed at a second radius is not an endpoint
-    status = DIVERGED if escaping else STEP_UNDERFLOW
-    return PathOutcome(status, None, hom.target_residual(u), steps, 0)
-
-
 def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
                 steps: np.ndarray):
     """Track the rows of U0 from t = 0 to 1 - ENDGAME_RADIUS as one stack,
@@ -425,28 +308,28 @@ def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
     return outcomes, U, steps
 
 
-def _coincident(U: np.ndarray) -> np.ndarray:
-    """Which rows of U lie within 1e-8 (1 + |u|) of another row, as a mask.
-
-    Rows are sorted by a real projection z = Re(w.u) with |w_k| = 1, which
-    two such rows share to within v times the tolerance; only rows that
-    close in z are compared, one sorted offset at a time, in O(P v)
-    memory.
-    """
-    tol = 1e-8 * (1.0 + np.abs(U).max(axis=1))
-    z = (U @ np.exp(1j * np.arange(U.shape[1]))).real
-    order = np.argsort(z)
-    Us, z, tol = U[order], z[order], tol[order]
-    reach = U.shape[1] * tol.max(initial=0.0)
-    near = np.zeros(len(U), dtype=bool)
-    for k in range(1, len(U)):
-        i = np.flatnonzero(z[k:] - z[:-k] <= reach)
+def _near(A: np.ndarray, B: np.ndarray, rel: float) -> np.ndarray:
+    """The pairs (i, j) with |A[i] - B[j]| <= rel (1 + |B[j]|) in the max
+    norm, as a (2, pairs) index array.  Such a pair lies within
+    2 v rel (1 + |A[i]|) in a real projection z = Re(w.u), |w_k| = 1, so
+    only rows close in z are compared, one sorted offset at a time, in
+    O(P v) memory."""
+    w = np.exp(1j * np.arange(B.shape[1]))
+    zb = (B @ w).real
+    order = np.argsort(zb)
+    za, zb = (A @ w).real, zb[order]
+    reach = 2.0 * B.shape[1] * rel * (1.0 + np.abs(A).max(axis=1))
+    lo = np.searchsorted(zb, za - reach)
+    hi = np.searchsorted(zb, za + reach, side="right")
+    tol = rel * (1.0 + np.abs(B).max(axis=1))
+    pairs, i = [np.zeros((2, 0), dtype=int)], np.arange(len(A))
+    for k in itertools.count():
+        i = i[lo[i] + k < hi[i]]
         if not i.size:
-            break
-        i = i[np.abs(Us[i + k] - Us[i]).max(axis=1)
-              <= np.maximum(tol[i], tol[i + k])]
-        near[i] = near[i + k] = True
-    return near[np.argsort(order)]
+            return np.concatenate(pairs, axis=1)
+        j = order[lo[i] + k]
+        hit = np.abs(A[i] - B[j]).max(axis=1) <= tol[j]
+        pairs.append(np.stack([i[hit], j[hit]]))
 
 
 def _draw_complex(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -476,40 +359,26 @@ def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]
     regular root is reached by one path only, so two regular endpoints
     on one point mean a path jumped: both are tracked again at a
     1000-fold tighter step tolerance.  The paths left for the endgame
-    then advance together: each round gathers the pending request of
-    every live endgame generator and answers each kind of request with
-    one stacked call; a path retires when its generator returns."""
+    finish in `cauchy_endgame`, as one stack."""
     hom = _materialize(system, cfg)
     U0 = hom.start_points()
     outcomes, U, steps = _line_phase(hom, U0, STEP_TOL,
                                      np.zeros(len(U0), dtype=int))
     regular = np.flatnonzero([o is not None and o.converged for o in outcomes])
     ends = np.array([outcomes[p].endpoint for p in regular]).reshape(-1, U.shape[1])
-    again = regular[_coincident(ends)]
+    pairs = _near(ends, ends, 1e-8)             # two paths on one regular root
+    twice = pairs[:, pairs[0] != pairs[1]].ravel()
+    again = regular[np.bincount(twice, minlength=len(regular)) > 0]
     if again.size:
         redo, U[again], steps[again] = _line_phase(
             hom, U0[again], 1e-3 * STEP_TOL, steps[again])
         for p, out in zip(again, redo):
             outcomes[p] = out
-    paths = {p: _finish_endgame(hom, U[p], int(steps[p]))
-             for p, out in enumerate(outcomes) if out is None}
-    answers = dict.fromkeys(paths)
-    while answers:
-        pending = {}
-        for i, answer in answers.items():
-            try:
-                pending[i] = paths[i].send(answer)
-            except StopIteration as done:
-                outcomes[i] = done.value
-        groups: dict = {}
-        for i, (kind, *args) in pending.items():
-            groups.setdefault((kind, *args[-2:]), []).append(i)
-        answers = {}
-        for (kind, tol, iters), idx in groups.items():
-            columns = (np.array(c, dtype=np.complex128)
-                       for c in zip(*(pending[i][1:-2] for i in idx)))
-            U_, ok = getattr(hom, kind)(*columns, tol, iters)[:2]
-            answers.update(zip(idx, zip(U_, ok)))
+    rest = [p for p, out in enumerate(outcomes) if out is None]
+    if rest:
+        from .endgame import cauchy_endgame     # it imports this module
+        for p, out in zip(rest, cauchy_endgame(hom, U[rest], steps[rest])):
+            outcomes[p] = out
     return tuple(outcomes)
 
 

@@ -220,24 +220,67 @@ def track_alone(system, p):
     return out
 
 
-def test_track_all_outcomes_follow_start_points():
-    # the stacked line phase and endgame return, in start-point order,
-    # what tracking each path alone returns; the Cremona tensor sends
-    # paths into the endgame
-    rng = np.random.default_rng(10)
+def cremona_tensor():
     cre = np.zeros((3, 3, 3), dtype=complex)
     cre[0, 0, 1], cre[1, 0, 2], cre[2, 1, 2] = 1.0, 1.0, 2.0
-    for A, endgame in ((rand_tensor(4, 2, rng), False), (Tensor(3, 3, cre), True)):
+    return Tensor(3, 3, cre)
+
+
+def test_track_all_outcomes_follow_start_points():
+    # the stacked line phase and endgame return, in start-point order,
+    # the status, winding and endpoint of each path tracked alone; the
+    # Cremona tensor sends paths into the endgame.  A path of winding 0
+    # (here: one that never enters it) takes the same steps; the paths of
+    # a cycle of winding w > 1 share its loops, so each takes fewer steps
+    # than alone, where it makes all w loops of every circle itself
+    rng = np.random.default_rng(10)
+    for A, endgame in ((rand_tensor(4, 2, rng), False), (cremona_tensor(), True)):
         system = build_eigen_system(A)
         outs = track_all(system, CFG)
         assert len(outs) == len(_materialize(system, CFG).start_points())
         for p, out in enumerate(outs):
             alone = track_alone(system, p)
-            assert (out.status, out.steps, out.winding) == \
-                (alone.status, alone.steps, alone.winding)
+            assert (out.status, out.winding) == (alone.status, alone.winding)
+            if out.winding == 0:
+                assert out.steps == alone.steps
+            if out.winding > 1:
+                assert out.steps < alone.steps
             if out.converged:
                 assert np.allclose(out.endpoint, alone.endpoint, rtol=1e-8, atol=1e-8)
-        assert any(o.winding > 0 for o in outs) == endgame
+        assert any(o.winding > 0 for o in outs) == any(o.winding > 1 for o in outs) \
+            == endgame
+
+
+def test_endgame_loops_each_circle_once_per_cycle(monkeypatch):
+    # every endgame path loops a circle once, all as one stack: Motzkin's
+    # 40 winding-20 paths take two circles of 16 stacked arcs, not 2 x 20
+    # loops each, and the paths of one Cremona cycle share one endpoint
+    calls, in_line = [0], [0]
+    step, line_phase = _Homotopy.step, homotopy._line_phase
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return step(*args, **kwargs)
+
+    def line_counted(*args):
+        before = calls[0]
+        out = line_phase(*args)
+        in_line[0] += calls[0] - before
+        return out
+
+    monkeypatch.setattr(_Homotopy, "step", counted)
+    monkeypatch.setattr(homotopy, "_line_phase", line_counted)
+    outs = track_all(build_eigen_system(motzkin_tensor()), CFG)
+    assert sum(o.winding == 20 for o in outs) == 40
+    assert calls[0] - in_line[0] <= 48
+
+    shared: dict = {}
+    for o in track_all(build_eigen_system(cremona_tensor()), CFG):
+        if o.winding:
+            shared.setdefault(o.endpoint.tobytes(), []).append(o.winding)
+    assert shared
+    for windings in shared.values():
+        assert windings == [windings[0]] * windings[0]
 
 
 def test_jumped_paths_are_tracked_again(monkeypatch):
@@ -376,17 +419,29 @@ def test_multiplicity_division_m4():
         assert c.cluster_size == 2 * c.multiplicity
 
 
-def test_motzkin_off_the_default_seed():
+def assert_motzkin_picture(seed):
     # under other seeds the picture may lose paths or show degenerate
     # clusters, but never a family, and a clean report is the right one
-    for seed in (2, 6):
-        report = eigenclasses(motzkin_tensor(), TrackerConfig(seed=seed))
-        assert not report.positive_dimensional
-        if report.clean:
-            assert len(report.classes) == 23
-            assert report.total_multiplicity == 31
-            assert tuple(k for _, k in value_multiplicities(report)) == \
-                (14, 8, 2, 1)
+    report = eigenclasses(motzkin_tensor(), TrackerConfig(seed=seed))
+    assert not report.positive_dimensional
+    if report.clean:
+        assert len(report.classes) == 23
+        assert report.total_multiplicity == 31
+        assert tuple(k for _, k in value_multiplicities(report)) == (14, 8, 2, 1)
+
+
+def test_motzkin_off_the_default_seed():
+    for seed in range(1, 13):
+        if seed != 9:
+            assert_motzkin_picture(seed)
+
+
+@pytest.mark.xfail(strict=True, reason="seed 9 splits the 5-fold class at "
+                   "(1, 0, 0) into 12 paths and two strays, and the report "
+                   "is clean; the cluster size of a singular class is not "
+                   "checked against its local multiplicity")
+def test_motzkin_seed_9_clean_report_is_right():
+    assert_motzkin_picture(9)
 
 
 def test_tracker_config_validation():
