@@ -54,7 +54,6 @@ from .dynamics import (
 )
 from .exact import (
     ExactCharPoly,
-    ExactPoly,
     GaussianRational,
     charpoly_exact_2_3,
     hyperdeterminant_222,

@@ -4,7 +4,7 @@ Fixed points of the map are the eigenvectors with nonzero eigenvalue and
 the base locus collects the eigenvalue-zero ones, so everything here is a
 dynamical reading of the spectral data.  Nilpotency ("some iterate is
 undefined everywhere") is decided exactly by one orbit of n steps, in
-Gaussian rationals (see ``nilpotency``); no iterate is ever expanded.
+Gaussian integers (see ``nilpotency``); no iterate is ever expanded.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import GaussianRational, _exact_entries
+from .exact import _exact_entries, _zi_scale
 from .homotopy import TrackerConfig
 from .spectra import SpectralReport, eigenclasses
 from .tensor import (
@@ -160,7 +160,10 @@ def nilpotency(A: Tensor, kmax: int, cfg: TrackerConfig | None = None,
     k = 1..n at one point whose coordinates have real and imaginary parts
     drawn from the integers in [-2^20, 2^20) by ``cfg.seed``, with
     ``A.exact`` as the entries, or else the exact binary value of each
-    stored float.  A nonzero value proves psi^k != 0, and a nonzero psi^k
+    stored float.  The entries are scaled by their common denominator D,
+    and psi_{DA}^k is a nonzero multiple of psi_A^k, so the orbit runs on
+    Gaussian integers: the real and imaginary parts as two object arrays
+    of ints.  A nonzero value proves psi^k != 0, and a nonzero psi^k
     vanishes there with probability at most (m-1)^k / 2^42
     (Schwartz-Zippel: 2^42 choices per coordinate, degree (m-1)^k).
 
@@ -172,16 +175,17 @@ def nilpotency(A: Tensor, kmax: int, cfg: TrackerConfig | None = None,
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     rng = np.random.default_rng((cfg or TrackerConfig()).seed)
-    x = np.array([GaussianRational(int(a), int(b)) for a, b in
-                  rng.integers(-2 ** 20, 2 ** 20, (A.n, 2))], dtype=object)
-    entries = np.array(_exact_entries(A), dtype=object).reshape((A.n,) * A.m)
+    xr, xi = (np.array([int(v) for v in part], dtype=object) for part in
+              rng.integers(-2 ** 20, 2 ** 20, (A.n, 2)).T)
+    er, ei = (np.array(part, dtype=object).reshape((A.n,) * A.m)
+              for part in zip(*_zi_scale(_exact_entries(A))[1]))
     for k in range(1, A.n + 1):
-        v = entries
+        vr, vi = er, ei
         for _ in range(A.m - 1):  # v = A x^{m-1}
-            v = v @ x
-        if not any(v):
+            vr, vi = vr @ xr - vi @ xi, vr @ xi + vi @ xr
+        if not (any(vr) or any(vi)):
             return NilpotencyVerdict(NILPOTENT, k=k)
-        x = v
+        xr, xi = vr, vi
     if report is None:
         report = eigenclasses(A, cfg)
     for cls in report.classes:

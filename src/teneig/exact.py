@@ -1,16 +1,22 @@
 """Exact arithmetic over the Gaussian rationals: resultants, the 2x2x2
 hyperdeterminant, and the order-3 dimension-2 characteristic polynomial.
 
-The characteristic polynomial is one binary Sylvester resultant: the
+Every determinant is one kernel, ``_det_zi``: fraction-free (Bareiss)
+elimination over the Gaussian integers, held as (re, im) pairs of ints,
+after the entries are scaled by their common denominator.  The
+characteristic polynomial is one binary Sylvester resultant: the
 eigenvector cubic x2 (A x^2)_1 - x1 (A x^2)_2 against a quartic that
 vanishes at an eigenvector exactly when mu is the square of its
-normalized eigenvalue (see ``charpoly_exact_2_3``).  The few tensors on
-which that resultant drops degree get the same coefficients by exact
-interpolation along a rational perturbation line.
+normalized eigenvalue (see ``charpoly_exact_2_3``).  That 7x7 determinant
+is a cubic in mu, taken as integer determinants at mu = 0, 1, -1, 2 and
+interpolated exactly.  The few tensors on which the resultant drops
+degree get the same coefficients by exact interpolation along a rational
+perturbation line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +26,6 @@ from .tensor import Tensor
 
 __all__ = [
     "GaussianRational",
-    "ExactPoly",
     "ExactCharPoly",
     "sylvester_resultant",
     "hyperdeterminant_222",
@@ -172,249 +177,92 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
 
-_GR_ZERO = GaussianRational()
-_GR_ONE = GaussianRational(Fraction(1))
+def _zi_scale(values):
+    """(D, pairs): the least common denominator D of the Gaussian rationals
+    ``values`` and the Gaussian integers D*v as (re, im) pairs of ints."""
+    D = math.lcm(*(q.denominator for v in values for q in (v.re, v.im)))
+    return D, [(v.re.numerator * (D // v.re.denominator),
+                v.im.numerator * (D // v.im.denominator)) for v in values]
 
 
-@dataclass(frozen=True)
-class ExactPoly:
-    """Multivariate polynomial with GaussianRational coefficients.
+def _zq(z, d) -> GaussianRational:
+    """The Gaussian integer pair z divided by the integer d, exactly."""
+    return GaussianRational(Fraction(z[0], d), Fraction(z[1], d))
 
-    Terms map exponent tuples to coefficients; zero coefficients are
-    dropped.  Supports ring arithmetic plus exact division, which is all
-    the fraction-free determinant needs.
+
+def _zmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _zlin(*terms):
+    """Sum of c * z over (int c, Gaussian integer pair z) terms."""
+    return (sum(c * z[0] for c, z in terms), sum(c * z[1] for c, z in terms))
+
+
+def _det_zi(rows):
+    """Determinant of a square matrix of Gaussian integer pairs.
+
+    Fraction-free Bareiss elimination: every entry update
+    (pivot * a_ij - a_ik * a_kj) / previous pivot is a Gaussian integer,
+    so the division by the previous pivot p, done as a multiplication by
+    conj(p) and floor division by |p|^2, is exact.  A zero pivot swaps
+    in a lower row; a zero column ends with determinant 0.
     """
-
-    nvars: int
-    terms: dict
-    names: tuple | None = None
-
-    def __post_init__(self):
-        clean = {}
-        for expo, coeff in self.terms.items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != self.nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent tuple {expo}")
-            c = GaussianRational.coerce(coeff)
-            if c:
-                clean[expo] = c
-        object.__setattr__(self, "terms", clean)
-        if self.names is not None:
-            names = tuple(str(v) for v in self.names)
-            if len(names) != self.nvars:
-                raise ValueError("one name per variable required")
-            object.__setattr__(self, "names", names)
-
-    def canonical_terms(self) -> tuple:
-        """Sorted (exponent vector, coefficient string) pairs, a stable
-        text form for golden-file comparison."""
-        return tuple((e, str(self.terms[e])) for e in sorted(self.terms))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.names or tuple(f"x{k + 1}" for k in range(self.nvars))
-        parts = []
-        for expo, coeff in self.canonical_terms():
-            mono = "*".join(
-                f"{names[v]}^{e}" if e > 1 else names[v]
-                for v, e in enumerate(expo) if e
-            )
-            parts.append(f"({coeff})*{mono}" if mono else f"({coeff})")
-        return " + ".join(parts)
-
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: GaussianRational.coerce(value)})
-
-    @classmethod
-    def variable(cls, nvars, index):
-        expo = [0] * nvars
-        expo[index] = 1
-        return cls(nvars, {tuple(expo): _GR_ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            terms[expo] = terms.get(expo, _GR_ZERO) + c
-        return ExactPoly(self.nvars, terms)
-
-    def __neg__(self):
-        return ExactPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if expo in terms:
-                    terms[expo] = terms[expo] + prod
-                else:
-                    terms[expo] = prod
-        return ExactPoly(self.nvars, terms)
-
-    def __pow__(self, k: int):
-        out = ExactPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def _coerce(self, other):
-        if isinstance(other, ExactPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        return ExactPoly.constant(self.nvars, other)
-
-    def _leading(self):
-        expo = max(self.terms)  # lex order
-        return expo, self.terms[expo]
-
-    def exact_div(self, divisor: "ExactPoly") -> "ExactPoly":
-        """Quotient self/divisor, raising if the division is not exact."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        quotient = {}
-        rem = dict(self.terms)
-        d_expo, d_coef = divisor._leading()
-        while rem:
-            r_expo = max(rem)
-            q_expo = tuple(a - b for a, b in zip(r_expo, d_expo))
-            if any(e < 0 for e in q_expo):
-                raise ArithmeticError("polynomial division is not exact")
-            q_coef = rem[r_expo] / d_coef
-            quotient[q_expo] = q_coef
-            for expo, c in divisor.terms.items():
-                tgt = tuple(a + b for a, b in zip(q_expo, expo))
-                new = rem.get(tgt, _GR_ZERO) - q_coef * c
-                if new:
-                    rem[tgt] = new
-                else:
-                    rem.pop(tgt, None)
-        return ExactPoly(self.nvars, quotient)
-
-    def __truediv__(self, other):
-        return self.exact_div(self._coerce(other))
-
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def coeffs_in(self, var: int) -> list:
-        """Coefficients of var**k for k = 0..deg, each an ExactPoly with the
-        exponent of var zeroed out."""
-        deg = self.degree_in(var)
-        if deg < 0:
-            return []
-        buckets = [dict() for _ in range(deg + 1)]
-        for expo, c in self.terms.items():
-            rest = list(expo)
-            k = rest[var]
-            rest[var] = 0
-            buckets[k][tuple(rest)] = c
-        return [ExactPoly(self.nvars, b) for b in buckets]
-
-    def evaluate(self, values) -> GaussianRational:
-        out = _GR_ZERO
-        for expo, c in self.terms.items():
-            term = c
-            for v, e in enumerate(expo):
-                if e:
-                    term = term * (GaussianRational.coerce(values[v]) ** e)
-            out = out + term
-        return out
-
-    def substitute_zero(self, var: int) -> "ExactPoly":
-        terms = {e: c for e, c in self.terms.items() if e[var] == 0}
-        return ExactPoly(self.nvars, terms)
-
-
-def _det_bareiss(rows):
-    """Fraction-free determinant; entries need ring ops and exact division."""
     M = [list(r) for r in rows]
     size = len(M)
     if size == 0:
-        raise ValueError("empty matrix")
+        return (1, 0)
     sign = 1
-    prev = None
+    dr, di = 1, 0
     for k in range(size - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, size) if M[i][k]), None)
+        if M[k][k] == (0, 0):
+            swap = next((i for i in range(k + 1, size) if M[i][k] != (0, 0)), None)
             if swap is None:
-                return M[k][k]  # zero column below the diagonal: det is 0
+                return (0, 0)
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
+        pr, pi = M[k][k]
+        row_k = M[k]
+        norm = dr * dr + di * di
         for i in range(k + 1, size):
+            row_i = M[i]
+            ar, ai = row_i[k]
             for j in range(k + 1, size):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = num / prev if prev is not None else num
-        prev = M[k][k]
+                br, bi = row_i[j]
+                cr, ci = row_k[j]
+                nr = pr * br - pi * bi - ar * cr + ai * ci
+                ni = pr * bi + pi * br - ar * ci - ai * cr
+                row_i[j] = ((nr * dr + ni * di) // norm, (ni * dr - nr * di) // norm)
+        dr, di = pr, pi
     out = M[size - 1][size - 1]
-    return out if sign == 1 else -out
+    return out if sign == 1 else (-out[0], -out[1])
 
 
-def sylvester_resultant(p: ExactPoly, q: ExactPoly, var: int,
-                        deg_p: int | None = None, deg_q: int | None = None) -> ExactPoly:
-    """Resultant of p and q with respect to one variable.
-
-    Degrees default to the actual degrees in ``var``; passing larger
-    declared degrees builds the corresponding bigger Sylvester matrix
-    (zero-padded), and a declared degree below the actual one is an error.
-    """
-    if p.nvars != q.nvars:
-        raise ValueError("variable count mismatch")
-    zero = ExactPoly(p.nvars, {})
-    if p.is_zero() or q.is_zero():
-        return zero
-    dp = p.degree_in(var) if deg_p is None else deg_p
-    dq = q.degree_in(var) if deg_q is None else deg_q
-    if dp < p.degree_in(var) or dq < q.degree_in(var):
-        raise ValueError("declared degree below actual degree")
-    if dp == 0 and dq == 0:
-        return ExactPoly.constant(p.nvars, 1)
-    if dp == 0:
-        return p**dq
-    if dq == 0:
-        return q**dp
-    pc = p.coeffs_in(var) + [zero] * (dp + 1 - len(p.coeffs_in(var)))
-    qc = q.coeffs_in(var) + [zero] * (dq + 1 - len(q.coeffs_in(var)))
+def _sylvester(p, q):
+    """Sylvester matrix of two coefficient lists, leading first, with
+    declared degrees len(p) - 1 and len(q) - 1."""
+    dp, dq = len(p) - 1, len(q) - 1
     size = dp + dq
-    rows = []
-    pdesc = pc[::-1]  # leading first
-    qdesc = qc[::-1]
-    for shift in range(dq):
-        row = [zero] * size
-        for j, c in enumerate(pdesc):
-            row[shift + j] = c
-        rows.append(row)
-    for shift in range(dp):
-        row = [zero] * size
-        for j, c in enumerate(qdesc):
-            row[shift + j] = c
-        rows.append(row)
-    return _det_bareiss(rows)
+    zero = (0, 0)
+    return ([[zero] * s + p + [zero] * (size - s - len(p)) for s in range(dq)]
+            + [[zero] * s + q + [zero] * (size - s - len(q)) for s in range(dp)])
+
+
+def sylvester_resultant(p, q) -> GaussianRational:
+    """Resultant of two univariate polynomials with Gaussian-rational
+    coefficients, each given as a coefficient list, leading first.
+
+    The declared degrees are ``len(p) - 1`` and ``len(q) - 1``: a zero
+    leading coefficient is kept, and the Sylvester matrix has that size.
+    A constant has Res(c, q) = c^deg(q).
+    """
+    p = [GaussianRational.coerce(c) for c in p]
+    q = [GaussianRational.coerce(c) for c in q]
+    if not p or not q:
+        raise ValueError("a polynomial needs at least one coefficient")
+    D, z = _zi_scale(p + q)
+    det = _det_zi(_sylvester(z[:len(p)], z[len(p):]))
+    return _zq(det, D ** (len(p) + len(q) - 2))
 
 
 def _exact_entries(A: Tensor) -> list:
@@ -440,42 +288,31 @@ def hyperdeterminant_222(A: Tensor) -> GaussianRational:
     def a(i, j, k):  # 1-based indices into the flat entry list
         return e[(i - 1) * 4 + (j - 1) * 2 + (k - 1)]
 
-    two = GaussianRational.coerce(2)
-    four = GaussianRational.coerce(4)
-    det = (
+    return (
         a(1, 2, 2) ** 2 * a(2, 1, 1) ** 2
         + a(1, 2, 1) ** 2 * a(2, 1, 2) ** 2
         + a(1, 1, 2) ** 2 * a(2, 2, 1) ** 2
         + a(1, 1, 1) ** 2 * a(2, 2, 2) ** 2
-        - two * a(1, 2, 1) * a(1, 2, 2) * a(2, 1, 1) * a(2, 1, 2)
-        - two * a(1, 1, 2) * a(1, 2, 2) * a(2, 1, 1) * a(2, 2, 1)
-        - two * a(1, 1, 2) * a(1, 2, 1) * a(2, 1, 2) * a(2, 2, 1)
-        - two * a(1, 1, 1) * a(1, 2, 2) * a(2, 1, 1) * a(2, 2, 2)
-        - two * a(1, 1, 1) * a(1, 2, 1) * a(2, 1, 2) * a(2, 2, 2)
-        - two * a(1, 1, 1) * a(1, 1, 2) * a(2, 2, 1) * a(2, 2, 2)
-        + four * a(1, 1, 1) * a(1, 2, 2) * a(2, 1, 2) * a(2, 2, 1)
-        + four * a(1, 1, 2) * a(1, 2, 1) * a(2, 1, 1) * a(2, 2, 2)
+        - 2 * a(1, 2, 1) * a(1, 2, 2) * a(2, 1, 1) * a(2, 1, 2)
+        - 2 * a(1, 1, 2) * a(1, 2, 2) * a(2, 1, 1) * a(2, 2, 1)
+        - 2 * a(1, 1, 2) * a(1, 2, 1) * a(2, 1, 2) * a(2, 2, 1)
+        - 2 * a(1, 1, 1) * a(1, 2, 2) * a(2, 1, 1) * a(2, 2, 2)
+        - 2 * a(1, 1, 1) * a(1, 2, 1) * a(2, 1, 2) * a(2, 2, 2)
+        - 2 * a(1, 1, 1) * a(1, 1, 2) * a(2, 2, 1) * a(2, 2, 2)
+        + 4 * a(1, 1, 1) * a(1, 2, 2) * a(2, 1, 2) * a(2, 2, 1)
+        + 4 * a(1, 1, 2) * a(1, 2, 1) * a(2, 1, 1) * a(2, 2, 2)
     )
-    return det
 
 
-def _quadratics_222(entries):
-    """(A x^2)_1 and (A x^2)_2 at x = (t, 1), as polynomials in (t, mu);
-    mu (variable 1) is unused here and enters through the charpoly form."""
-
-    def a(i, j, k):
-        return entries[(i - 1) * 4 + (j - 1) * 2 + (k - 1)]
-
-    return tuple(
-        ExactPoly(2, {(2, 0): a(i, 1, 1), (1, 0): a(i, 1, 2) + a(i, 2, 1),
-                      (0, 0): a(i, 2, 2)})
-        for i in (1, 2)
-    )
+def _quadratics_zi(z):
+    """(A x^2)_1 and (A x^2)_2 at x = (t, 1) as coefficient lists in t,
+    leading first, from the flat Gaussian integer entries z."""
+    return tuple([z[i], _zlin((1, z[i + 1]), (1, z[i + 2])), z[i + 3]] for i in (0, 4))
 
 
 def _resultant_quadratics_entries(entries) -> GaussianRational:
-    f1, f2 = _quadratics_222(entries)
-    return sylvester_resultant(f1, f2, 0, 2, 2).terms.get((0, 0), _GR_ZERO)
+    D, z = _zi_scale(entries)
+    return _zq(_det_zi(_sylvester(*_quadratics_zi(z))), D ** 4)
 
 
 def resultant_quadratics_2(A: Tensor) -> GaussianRational:
@@ -527,37 +364,56 @@ class ExactCharPoly:
         return np.roots(arr[nz[0]:])
 
 
-def _lagrange_at_zero(nodes, values):
-    """Exact Lagrange interpolation evaluated at t = 0."""
-    total = _GR_ZERO
-    for i, (ti, vi) in enumerate(zip(nodes, values)):
-        w = vi
-        for j, tj in enumerate(nodes):
-            if j != i:
-                w = w * (-tj) / (ti - tj)
-        total = total + w
-    return total
+# l^2 (x.x) = (3t + 7)^2 (t^2 + 1) at x = (t, 1), leading first
+_ELL2_NORM = (9, 42, 58, 42, 49)
+_MU_NODES = (0, 1, -1, 2)
+
+
+def _cubic_through(v0, v1, vm, v2):
+    """Coefficients (c0, c1, c2, c3) of the integer cubic that takes the
+    values v0, v1, vm, v2 at 0, 1, -1, 2; every division is exact."""
+    c2 = (v1 + vm) // 2 - v0
+    c3 = (v2 - v0 - 4 * c2 - v1 + vm) // 6
+    return (v0, (v1 - vm) // 2 - c3, c2, c3)
 
 
 def _charpoly_direct(entries):
     """Anchored charpoly from one binary resultant, or None when a guard
-    fails: C2 = 0, a vanishing mu^3 coefficient, or C8 != -Res^2."""
-    c2 = _c2_closed_form(entries)
-    if not c2:
+    fails: C2 = 0, a vanishing mu^3 coefficient, or C8 != -Res^2.
+
+    The entries are scaled by their common denominator D to Gaussian
+    integers.  That scales f = A x^2 and the cubic by D and
+    (3 f1 + 7 f2)^2 by D^2, so the 7x7 determinant at mu is
+    D^10 R(mu / D^2), R being the resultant of the unscaled forms: its
+    mu^k coefficient is D^(10-2k) r_k.  The determinant is taken at the
+    four integer nodes ``_MU_NODES`` and the cubic recovered exactly.
+    """
+    D, z = _zi_scale(entries)
+    c2 = _c2_closed_form(z)  # D^2 C2
+    if c2 == (0, 0):
         return None
-    f1, f2 = _quadratics_222(entries)
-    t = ExactPoly.variable(2, 0)
-    mu = ExactPoly.variable(2, 1)
-    ell = t * 3 + 7  # l = 3 x1 + 7 x2
-    cubic = f1 - t * f2  # x2 f1 - x1 f2
-    quartic = mu * ell * ell * (t * t + 1) - (f1 * 3 + f2 * 7) ** 2
-    res = sylvester_resultant(cubic, quartic, 0, 3, 4)
-    r0, r1, r2, lead = (res.terms.get((0, k), _GR_ZERO) for k in range(4))
-    if not lead:
+    f1, f2 = _quadratics_zi(z)
+    cubic = ([_zlin((-1, f2[0]))] + [_zlin((1, f1[k]), (-1, f2[k + 1])) for k in range(2)]
+             + [f1[2]])  # x2 f1 - x1 f2
+    s2, s1, s0 = (_zlin((3, u), (7, v)) for u, v in zip(f1, f2))
+    square = [_zmul(s2, s2), _zlin((2, _zmul(s2, s1))),
+              _zlin((1, _zmul(s1, s1)), (2, _zmul(s2, s0))),
+              _zlin((2, _zmul(s1, s0))), _zmul(s0, s0)]  # (3 f1 + 7 f2)^2
+    values = [_det_zi(_sylvester(cubic, [(mu * w - sq[0], -sq[1])
+                                         for w, sq in zip(_ELL2_NORM, square)]))
+              for mu in _MU_NODES]
+    r = list(zip(*(_cubic_through(*part) for part in zip(*values))))
+    lead = r[3]
+    if lead == (0, 0):
         return None
-    coeffs = [c2, c2 * r2 / lead, c2 * r1 / lead, c2 * r0 / lead]
-    res_q = _resultant_quadratics_entries(entries)
-    if coeffs[3] != -(res_q * res_q):
+    # r[k] = D^(10-2k) r_k and c2 = D^2 C2, so C2 r_k / r_3 is
+    # c2 r[k] conj(r[3]) / (|r[3]|^2 D^(8-2k))
+    norm = lead[0] * lead[0] + lead[1] * lead[1]
+    conj = (lead[0], -lead[1])
+    coeffs = [_zq(_zmul(_zmul(c2, r[k]), conj), norm * D ** (8 - 2 * k))
+              for k in (3, 2, 1, 0)]
+    res = _det_zi(_sylvester(f1, f2))  # D^4 Res(A x^2)
+    if coeffs[3] != -_zq(_zmul(res, res), D ** 8):
         return None
     return ExactCharPoly(*coeffs)
 
@@ -571,7 +427,7 @@ _PERTURB_DIRECTION = tuple(
     )
 )
 _PERTURB_NODES = tuple(
-    GaussianRational(Fraction(p, q))
+    Fraction(p, q)
     for p, q in ((1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2),
                  (3, 1), (-3, 1), (1, 3), (-1, 3), (4, 1), (-4, 1),
                  (2, 3), (-2, 3), (5, 1), (-5, 1), (3, 2), (-3, 2))
@@ -590,17 +446,18 @@ def _charpoly_perturbed(entries) -> ExactCharPoly:
     """
     samples = []
     for t in _PERTURB_NODES:
-        shifted = [e + t * d for e, d in zip(entries, _PERTURB_DIRECTION)]
-        cp = _charpoly_direct(shifted)
+        cp = _charpoly_direct([e + t * d for e, d in zip(entries, _PERTURB_DIRECTION)])
         if cp is not None:
             samples.append((t, cp.coefficients()))
         if len(samples) == 9:
             break
     if len(samples) < 9:
         raise ArithmeticError("could not find enough clean perturbation samples")
-    nodes = [t for t, _ in samples]
+    # the nodes are rational, so the Lagrange weights at t = 0 are too
+    weights = [math.prod(-tj / (ti - tj) for tj, _ in samples if tj != ti)
+               for ti, _ in samples]
     coeffs = tuple(
-        _lagrange_at_zero(nodes, [vals[k] for _, vals in samples])
+        sum((w * vals[k] for w, (_, vals) in zip(weights, samples)), GaussianRational())
         for k in range(4)
     )
     return ExactCharPoly(*coeffs, anchor="perturbation")
@@ -641,13 +498,12 @@ def charpoly_exact_2_3(A: Tensor) -> ExactCharPoly:
     return _charpoly_perturbed(entries)
 
 
-def _c2_closed_form(entries) -> GaussianRational:
-    def a(i, j, k):
-        return entries[(i - 1) * 4 + (j - 1) * 2 + (k - 1)]
-
-    u = -a(1, 1, 1) + a(1, 2, 2) + a(2, 1, 2) + a(2, 2, 1)
-    v = a(1, 1, 2) + a(1, 2, 1) + a(2, 1, 1) - a(2, 2, 2)
-    return u * u + v * v
+def _c2_closed_form(z):
+    """C2 = u^2 + v^2 on the flat Gaussian integer entries z."""
+    a111, a112, a121, a122, a211, a212, a221, a222 = z
+    u = _zlin((-1, a111), (1, a122), (1, a212), (1, a221))
+    v = _zlin((1, a112), (1, a121), (1, a211), (-1, a222))
+    return _zlin((1, _zmul(u, u)), (1, _zmul(v, v)))
 
 
 def is_singular_222(A: Tensor) -> bool:

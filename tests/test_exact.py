@@ -8,7 +8,6 @@ import pytest
 from teneig import exact
 from teneig.exact import (
     ExactCharPoly,
-    ExactPoly,
     GaussianRational,
     charpoly_exact_2_3,
     hyperdeterminant_222,
@@ -68,61 +67,68 @@ def test_gaussian_rational_arithmetic():
         a / gr(0)
 
 
-def test_exact_poly_ring_ops():
-    x = ExactPoly.variable(2, 0)
-    y = ExactPoly.variable(2, 1)
-    p = x * x - y * y
-    q = x + y
-    assert p.exact_div(q) == x - y
-    assert (q ** 3).total_degree() == 3
-    assert (p - p).is_zero()
-    assert p.evaluate([gr(3), gr(2)]) == gr(5)
-    assert p.substitute_zero(1) == x * x
-    with pytest.raises(ArithmeticError):
-        (x * x + y).exact_div(q)  # not divisible
-
-
 def test_sylvester_known_values():
-    # Res_x(x^2 - a, x - b) = b^2 - a with a, b as parameters
-    x = ExactPoly.variable(3, 0)
-    a = ExactPoly.variable(3, 1)
-    b = ExactPoly.variable(3, 2)
-    r = sylvester_resultant(x * x - a, x - b, 0)
-    assert r == b * b - a
-
+    # Res_x(x^2 - a, x - b) = b^2 - a
+    for a, b in ((gr(0), gr(0)), (gr(2), gr(3)), (gr(Fraction(1, 2), -1), gr(0, 2)),
+                 (gr(-3, Fraction(2, 7)), gr(Fraction(-5, 3)))):
+        assert sylvester_resultant([1, 0, -a], [1, -b]) == b * b - a
     # two fixed univariates: Res(x^2 - 1, x - 2) = 3
-    one = ExactPoly.constant(1, 1)
-    xx = ExactPoly.variable(1, 0)
-    assert sylvester_resultant(xx * xx - one, xx - one - one, 0) == \
-        ExactPoly.constant(1, 3)
+    assert sylvester_resultant([1, 0, -1], [1, -2]) == gr(3)
+
+
+def _convolve(p, q):
+    out = [gr(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
 
 
 def test_sylvester_multiplicativity_and_swap():
     rng = np.random.default_rng(101)
-    x = ExactPoly.variable(1, 0)
 
-    def rand_poly(deg):
-        out = ExactPoly.constant(1, 0)
-        for k in range(deg + 1):
-            c = gr(rand_rational(rng), rand_rational(rng))
-            out = out + ExactPoly(1, {(k,): c}) if c else out
-        if out.degree_in(0) < deg:  # pin the degree
-            out = out + ExactPoly(1, {(deg,): gr(1)})
-        return out
+    def rand_poly(deg):  # coefficient list, leading first, degree pinned
+        coeffs = [gr(rand_rational(rng), rand_rational(rng)) for _ in range(deg + 1)]
+        return [coeffs[0] or gr(1)] + coeffs[1:]
 
     for _ in range(6):
         p = rand_poly(2)
         q = rand_poly(2)
         r = rand_poly(1)
-        lhs = sylvester_resultant(p * q, r, 0,
-                                  deg_p=p.degree_in(0) + q.degree_in(0))
-        rhs = sylvester_resultant(p, r, 0) * sylvester_resultant(q, r, 0)
+        lhs = sylvester_resultant(_convolve(p, q), r)
+        rhs = sylvester_resultant(p, r) * sylvester_resultant(q, r)
         assert lhs == rhs
-        dp, dq = p.degree_in(0), q.degree_in(0)
-        swap = sylvester_resultant(q, p, 0)
-        direct = sylvester_resultant(p, q, 0)
+        dp, dq = len(p) - 1, len(q) - 1
+        swap = sylvester_resultant(q, p)
+        direct = sylvester_resultant(p, q)
         sign = -1 if (dp * dq) % 2 else 1
         assert direct == (swap if sign == 1 else -swap)
+
+
+def _det_laplace(M):
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _det_laplace([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+def test_det_zi_matches_laplace_expansion():
+    rng = np.random.default_rng(808)
+
+    def check(M):
+        want = _det_laplace([[gr(re, im) for re, im in row] for row in M])
+        got = exact._det_zi(M)
+        assert gr(*got) == want, M
+
+    for size in (4, 5):
+        for _ in range(6):
+            M = [[tuple(int(v) for v in rng.integers(-9, 10, 2)) for _ in range(size)]
+                 for _ in range(size)]
+            check(M)
+            M[0][0] = (0, 0)  # a zero leading pivot: the row-swap branch
+            check(M)
+            check([row[:2] + [(0, 0)] + row[3:] for row in M])  # a zero column
+    assert exact._det_zi([]) == (1, 0)
 
 
 def test_hyperdeterminant_examples():
@@ -193,6 +199,22 @@ def test_charpoly_routes():
     # the diagonal tensor has the axis eigenvectors (1, 0) and (0, 1); the
     # fixed form 3 x1 + 7 x2 vanishes at neither, so it stays direct
     assert charpoly_exact_2_3(exact_222([1, 0, 0, 0, 0, 0, 0, 1])).anchor == "c2"
+
+
+def test_charpoly_perturbed_matches_direct():
+    # exact interpolation along the perturbation line reproduces the
+    # direct route wherever the direct route applies
+    rng = np.random.default_rng(909)
+    checked = 0
+    while checked < 20:
+        entries = [gr(rand_rational(rng), rand_rational(rng)) for _ in range(8)]
+        direct = exact._charpoly_direct(entries)
+        if direct is None:
+            continue
+        perturbed = exact._charpoly_perturbed(entries)
+        assert perturbed.coefficients() == direct.coefficients()
+        assert perturbed.anchor == "perturbation"
+        checked += 1
 
 
 def test_charpoly_homogeneity():
