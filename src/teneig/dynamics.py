@@ -15,7 +15,7 @@ import numpy as np
 
 from .exact import _exact_entries, _zi_scale
 from .homotopy import TrackerConfig
-from .spectra import SpectralReport, eigenclasses
+from .spectra import SpectralReport, _zero_points, eigenclasses
 from .tensor import (
     LAMBDA_ZERO_TOL,
     EigenClass,
@@ -144,8 +144,7 @@ def base_locus(A: Tensor, cfg: TrackerConfig | None = None,
     ``report`` may pass in ``eigenclasses(A, cfg)`` already computed."""
     if report is None:
         report = eigenclasses(A, cfg)
-    return tuple(ProjPoint(c.representative.x) for c in report.classes
-                 if abs(complex(c.representative.lam)) <= LAMBDA_ZERO_TOL)
+    return _zero_points(report)
 
 
 def nilpotency(A: Tensor, kmax: int, cfg: TrackerConfig | None = None,

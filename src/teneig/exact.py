@@ -281,27 +281,19 @@ def hyperdeterminant_222(A: Tensor) -> GaussianRational:
     """Hyperdeterminant of a 2x2x2 tensor, exact.
 
     Degree-4 polynomial in the entries; zero exactly when the associated
-    system of two quadratics has a nontrivial common singular point.
+    system of two quadratics has a nontrivial common singular point.  It
+    is Cayley's discriminant b^2 - 4 a c of the binary quadratic
+    det(s A[0] + t A[1]) = a s^2 + b s t + c t^2 in the two slices,
+    taken on the entries scaled to Gaussian integers by their common
+    denominator D, then divided by D^4.
     """
-    e = _exact_entries_222(A)
-
-    def a(i, j, k):  # 1-based indices into the flat entry list
-        return e[(i - 1) * 4 + (j - 1) * 2 + (k - 1)]
-
-    return (
-        a(1, 2, 2) ** 2 * a(2, 1, 1) ** 2
-        + a(1, 2, 1) ** 2 * a(2, 1, 2) ** 2
-        + a(1, 1, 2) ** 2 * a(2, 2, 1) ** 2
-        + a(1, 1, 1) ** 2 * a(2, 2, 2) ** 2
-        - 2 * a(1, 2, 1) * a(1, 2, 2) * a(2, 1, 1) * a(2, 1, 2)
-        - 2 * a(1, 1, 2) * a(1, 2, 2) * a(2, 1, 1) * a(2, 2, 1)
-        - 2 * a(1, 1, 2) * a(1, 2, 1) * a(2, 1, 2) * a(2, 2, 1)
-        - 2 * a(1, 1, 1) * a(1, 2, 2) * a(2, 1, 1) * a(2, 2, 2)
-        - 2 * a(1, 1, 1) * a(1, 2, 1) * a(2, 1, 2) * a(2, 2, 2)
-        - 2 * a(1, 1, 1) * a(1, 1, 2) * a(2, 2, 1) * a(2, 2, 2)
-        + 4 * a(1, 1, 1) * a(1, 2, 2) * a(2, 1, 2) * a(2, 2, 1)
-        + 4 * a(1, 1, 2) * a(1, 2, 1) * a(2, 1, 1) * a(2, 2, 2)
-    )
+    D, z = _zi_scale(_exact_entries_222(A))
+    p11, p12, p21, p22, q11, q12, q21, q22 = z
+    a = _zlin((1, _zmul(p11, p22)), (-1, _zmul(p12, p21)))
+    c = _zlin((1, _zmul(q11, q22)), (-1, _zmul(q12, q21)))
+    b = _zlin((1, _zmul(p11, q22)), (1, _zmul(q11, p22)),
+              (-1, _zmul(p12, q21)), (-1, _zmul(q12, p21)))
+    return _zq(_zlin((1, _zmul(b, b)), (-4, _zmul(a, c))), D ** 4)
 
 
 def _quadratics_zi(z):

@@ -37,11 +37,12 @@ import numpy as np
 
 from .polysys import PolySystem, build_shifted_system
 from .tensor import (
-    ISOTROPY_TOL,
     EigenClass,
     EigenPair,
     Tensor,
     canonicalize,
+    key_order,
+    key_sorted,
     normalized_eigenvalues,
 )
 
@@ -122,11 +123,10 @@ class _Homotopy:
         U[:, -1] = (1.0 - U[:, : self.neq] @ c[: self.neq]) / c[-1]
         return U
 
-    def target_residual(self, u: np.ndarray):
-        """Max-norm residual of F and the patch at u, or per row of a stack."""
-        r = np.maximum(np.abs(self.sys.value_and_jacobian(u)[0]).max(axis=-1),
-                       np.abs(u @ self.patch - 1.0))
-        return float(r) if u.ndim == 1 else r
+    def target_residual(self, U: np.ndarray) -> np.ndarray:
+        """Max-norm residual of F and the patch at each row of U."""
+        return np.maximum(np.abs(self.sys.value_and_jacobian(U)[0]).max(axis=1),
+                          np.abs(U @ self.patch - 1.0))
 
     def _assemble(self, U: np.ndarray, t: np.ndarray):
         """H (P, v) and its u-Jacobians (P, v, v) at the rows of U, row p
@@ -195,13 +195,13 @@ class _Homotopy:
         return U, ok, err, K
 
     def step(self, U: np.ndarray, t: np.ndarray, h: np.ndarray,
-             tol: float, iters: int, k1: np.ndarray | None = None):
+             tol: float, iters: int, k1: np.ndarray):
         """Fourth-order predictor from t to t + h, then Newton at t + h;
         returns what `newton` returns.  `k1` is du/dt at U, NaN in the
         rows where it is not known; those rows compute it here."""
         hc = h[:, None]
         ok = np.ones(len(U), dtype=bool)
-        k1 = np.full_like(U, np.nan) if k1 is None else k1.copy()
+        k1 = k1.copy()
         miss = np.isnan(k1).any(axis=1)
         if miss.any():
             k1[miss], ok[miss] = self.tangent(U[miss], t[miss])
@@ -382,17 +382,6 @@ def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]
     return tuple(outcomes)
 
 
-def _cluster_key(lam: complex, x: np.ndarray):
-    return tuple(round(v, 7) for z in (lam, *x) for v in (z.real, z.imag))
-
-
-def _key_order(Y: np.ndarray) -> np.ndarray:
-    """The stable order of the rows (lam, *x) of Y by `_cluster_key`,
-    from one rounding of the whole stack."""
-    keys = np.round(np.stack([Y.real, Y.imag], axis=-1).reshape(len(Y), -1), 7)
-    return np.lexsort(keys.T[::-1])
-
-
 def _eigen_rows(system: PolySystem, x: np.ndarray, lam):
     """A x^{m-1} - lam x and its (x, lam) Jacobian from the lam = 0 system,
     at one point or at a stack x (P, n), lam (P,)."""
@@ -494,12 +483,9 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
         pairs.append(canonicalize(
             EigenPair(u[n] ** k, x, residual=out.residual), m))
 
-    def stack(ps):                      # a row (lam, *x) per pair
-        return np.array([(p.lam, *p.x) for p in ps],
-                        dtype=np.complex128).reshape(-1, n + 1)
-
-    Y = stack(pairs)
-    order = _key_order(Y)
+    Y = np.array([(p.lam, *p.x) for p in pairs],     # a row (lam, *x) each
+                 dtype=np.complex128).reshape(-1, n + 1)
+    order = key_order(Y)
     pairs, Y = [pairs[i] for i in order], Y[order]
     # each pair, in key order, joins the first cluster whose first pair
     # (lam1, x1) has |lam1 - lam| <= tol (1 + |lam1|) and
@@ -535,19 +521,14 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
     if singular.any():
         family[singular] = _on_family(shifted, X0[singular], L0[singular], r)
     degenerate, classes = 0, []
-    for cl, rep, x0, cond, sing, fam in zip(clusters, reps, X0, conds,
-                                            singular, family):
+    for cl, rep, cond, sing, fam in zip(clusters, reps, conds, singular, family):
         size = len(cl)
         mult = max(1, round(size / k))
         degenerate += bool(size % k or (not fam and (mult == 1) == sing))
         classes.append(EigenClass(representative=rep, multiplicity=mult,
-                                  isotropic=bool(abs(x0 @ x0) <= ISOTROPY_TOL),
                                   normalized_lambdas=normalized_eigenvalues(rep, m),
                                   cluster_size=size, condition=float(cond)))
-
-    order = _key_order(stack([c.representative for c in classes]))
-    classes = [classes[i] for i in order]
     diag = GroupDiagnostics(failed_paths=failed, trivial_paths=trivial,
                             degenerate_clusters=degenerate,
                             positive_dimensional=bool(family.any()))
-    return tuple(classes), diag
+    return key_sorted(classes), diag

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import (TrackerConfig, _cluster_key, gauss_newton,
-                       group_into_classes, track_all)
+from .homotopy import TrackerConfig, gauss_newton, group_into_classes, track_all
 from .polysys import build_eigen_system, build_shifted_system
 from .tensor import (
-    ISOTROPY_TOL,
     LAMBDA_ZERO_TOL,
     EigenClass,
     EigenPair,
@@ -27,6 +25,8 @@ from .tensor import (
     Tensor,
     canonicalize,
     expected_count,
+    key_order,
+    key_sorted,
     normalized_eigenvalues,
     tensor_from_form,
 )
@@ -147,27 +147,41 @@ class ZeroLocus:
     def __getitem__(self, i):
         return self.points[i]
 
-    def contains(self, coords, tol: float = 1e-6) -> bool:
+    def contains(self, coords) -> bool:
+        """Whether a point of the locus lies within 1e-6 of `coords`."""
         p = coords if isinstance(coords, ProjPoint) else ProjPoint(coords)
-        return any(p.distance(q) <= tol for q in self.points)
+        return any(p.distance(q) <= 1e-6 for q in self.points)
 
 
-def _merge_values(values, tol: float = VALUE_MERGE_TOL) -> tuple:
-    """Deduplicate near-equal complex scalars, ordered by the rounded
-    (real, imag) of `_cluster_key`: last-bit noise in the real parts of
-    a conjugate pair cannot swap it."""
-    out: list[complex] = []
-    for v in sorted(map(complex, values), key=lambda z: _cluster_key(z, ())):
-        if not any(abs(v - w) <= tol * (1.0 + abs(w)) for w in out):
-            out.append(v)
-    return tuple(out)
+def _bucket_values(pairs, tol: float) -> list:
+    """[value, summed weight] buckets of (complex value, weight) pairs.
+    In `key_order` of the values, each joins the first bucket whose first
+    value w has |v - w| <= tol (1 + |w|), else starts one; so the buckets
+    come in key order, each named by its first value."""
+    values = np.array([v for v, _ in pairs], dtype=np.complex128)
+    buckets: list[list] = []
+    for i in key_order(values):
+        v, weight = complex(values[i]), pairs[i][1]
+        for b in buckets:
+            if abs(v - b[0]) <= tol * (1.0 + abs(b[0])):
+                b[1] += weight
+                break
+        else:
+            buckets.append([v, weight])
+    return buckets
 
 
-def _matrix_nullspace(mat: np.ndarray, scale: float = 1.0, rtol: float = 1e-8):
+def _merge_values(values) -> tuple:
+    """The distinct values, VALUE_MERGE_TOL apart, in key order."""
+    return tuple(v for v, _ in _bucket_values([(v, 0) for v in values],
+                                              VALUE_MERGE_TOL))
+
+
+def _matrix_nullspace(mat: np.ndarray, scale: float):
     """Orthonormal nullspace basis columns of a square matrix; `scale` floors
     the rank cutoff, so a tiny A - lam I reads as all-null, not full-rank."""
     _, sv, vh = np.linalg.svd(mat)
-    dim = int(np.sum(sv <= rtol * max(sv[0], scale)))
+    dim = int(np.sum(sv <= 1e-8 * max(sv[0], scale)))
     return vh[sv.size - dim:].conj().T
 
 
@@ -229,12 +243,9 @@ def _matrix_classes(A: Tensor, cfg: TrackerConfig):
     for lam, x, mult in found:
         pair = canonicalize(EigenPair(lam, x), 2)
         res = float(np.max(np.abs(M @ pair.x - pair.lam * pair.x)))
-        w = pair.x / np.linalg.norm(pair.x)
         classes.append(EigenClass(EigenPair(pair.lam, pair.x, res), mult,
-                                  bool(abs(w @ w) <= ISOTROPY_TOL),
                                   normalized_eigenvalues(pair, 2)))
-    classes.sort(key=lambda c: _cluster_key(c.representative.lam, c.representative.x))
-    return tuple(classes), positive_dim, degenerate
+    return key_sorted(classes), positive_dim, degenerate
 
 
 def eigenclasses(A: Tensor, cfg: TrackerConfig | None = None) -> SpectralReport:
@@ -249,50 +260,30 @@ def eigenclasses(A: Tensor, cfg: TrackerConfig | None = None) -> SpectralReport:
             track_all(build_eigen_system(A), cfg), A, cfg)
         positive_dim, failed = diag.positive_dimensional, diag.failed_paths
         degenerate = diag.degenerate_clusters
-    values: list[complex] = []
-    iso = 0
-    for c in classes:
-        if c.isotropic:
-            iso += 1
-        values.extend(c.normalized_lambdas)
     return SpectralReport(
         m=A.m, n=A.n, classes=classes,
         expected_count=expected_count(A.m, A.n),
         total_multiplicity=sum(c.multiplicity for c in classes),
         positive_dimensional=positive_dim,
-        normalized_values=_merge_values(values),
-        isotropic_count=iso,
+        normalized_values=_merge_values(
+            [v for c in classes for v in c.normalized_lambdas]),
+        isotropic_count=sum(c.isotropic for c in classes),
         failed_paths=failed,
         degenerate_clusters=degenerate,
     )
 
 
-def value_multiplicities(report: SpectralReport, tol: float = 1e-6) -> tuple:
+def value_multiplicities(report: SpectralReport) -> tuple:
     """Summed class multiplicity per distinct normalized value.
 
     Diagnostic view of how the total count distributes over the values;
-    isotropic classes carry no value and are left out.  Returned as
-    ((value, multiplicity), ...) sorted by value.
+    isotropic classes carry no value and are left out.  Values within
+    1e-6 share a bucket, named by its first value in key order.  Returned
+    as ((value, multiplicity), ...) in key order.
     """
-    buckets: list[list] = []
-    for c in report.classes:
-        for v in c.normalized_lambdas:
-            v = complex(v)
-            for b in buckets:
-                if abs(v - b[0]) <= tol * (1.0 + abs(b[0])):
-                    b[1] += c.multiplicity
-                    break
-            else:
-                buckets.append([v, c.multiplicity])
-    buckets.sort(key=lambda b: (b[0].real, b[0].imag))
-    return tuple((b[0], b[1]) for b in buckets)
-
-
-def _class_sort_key(cls: EigenClass):
-    rep = cls.representative
-    lam = complex(rep.lam)
-    return (round(lam.real, 8), round(lam.imag, 8),
-            tuple(np.round(rep.x.view(float), 8)))
+    return tuple((v, k) for v, k in _bucket_values(
+        [(v, c.multiplicity) for c in report.classes
+         for v in c.normalized_lambdas], 1e-6))
 
 
 def diagonal_classes(a, m: int) -> tuple:
@@ -328,24 +319,19 @@ def diagonal_classes(a, m: int) -> tuple:
                       for i, s in enumerate(sigma)], dtype=np.complex128)
         resid = float(np.max(np.abs(a * x ** (m - 1) - x)))
         pair = canonicalize(EigenPair(1.0 + 0j, x, residual=resid), m)
-        w = pair.x / np.linalg.norm(pair.x)
-        classes.append(EigenClass(
-            representative=pair, multiplicity=1,
-            isotropic=bool(abs(w @ w) <= ISOTROPY_TOL),
-            normalized_lambdas=normalized_eigenvalues(pair, m)))
+        classes.append(EigenClass(representative=pair, multiplicity=1,
+                                  normalized_lambdas=normalized_eigenvalues(pair, m)))
     assert len(classes) == expected_count(m, n)
-    classes.sort(key=_class_sort_key)
-    return tuple(classes)
+    return key_sorted(classes)
 
 
-def real_representative(cls: EigenClass, m: int,
-                        tol: float = 1e-6) -> EigenPair | None:
+def real_representative(cls: EigenClass, m: int) -> EigenPair | None:
     """Rescale a class representative onto the reals, if possible.
 
     Tries the unit scalings t = conj-phase of the dominant coordinate
     times each (m-2)-nd root of unity; accepts t when both Im(t x) and
-    Im(t^{m-2} lambda) are negligible.  Returns the realigned pair (with
-    exactly real entries) or None.
+    Im(t^{m-2} lambda) are negligible (1e-6 relative).  Returns the
+    realigned pair (with exactly real entries) or None.
     """
     pair = cls.representative
     x = pair.x
@@ -358,25 +344,25 @@ def real_representative(cls: EigenClass, m: int,
         t = t0 * zeta ** i
         y = t * x
         lam = t ** (m - 2) * complex(pair.lam)
-        if (float(np.linalg.norm(y.imag)) <= tol * nx
-                and abs(lam.imag) <= tol * (1.0 + abs(lam))):
+        if (float(np.linalg.norm(y.imag)) <= 1e-6 * nx
+                and abs(lam.imag) <= 1e-6 * (1.0 + abs(lam))):
             return EigenPair(lam.real + 0j, y.real.astype(np.complex128),
                              residual=pair.residual)
     return None
 
 
-def real_classes(report: SpectralReport, tol: float = 1e-6) -> tuple:
+def real_classes(report: SpectralReport) -> tuple:
     """Classes of a real tensor possessing a real representative."""
     return tuple(c for c in report.classes
-                 if real_representative(c, report.m, tol) is not None)
+                 if real_representative(c, report.m) is not None)
 
 
-def is_positive_semidefinite(f: PolyForm, cfg: TrackerConfig | None = None,
-                             tol: float = 1e-8) -> bool:
+def is_positive_semidefinite(f: PolyForm,
+                             cfg: TrackerConfig | None = None) -> bool:
     """Whether a real form of even degree is PSD on real vectors.
 
     Equivalent to every real eigenclass of the associated symmetric
-    tensor having normalized eigenvalue >= -tol (the minimum of m*f on
+    tensor having normalized eigenvalue >= -1e-8 (the minimum of m*f on
     the unit sphere is attained at such a class).
 
     A lost path, or two paths on one root, can hide the one negative
@@ -401,7 +387,7 @@ def is_positive_semidefinite(f: PolyForm, cfg: TrackerConfig | None = None,
             f"{report.expected_count}")
     for cls in real_classes(report):
         # real classes are never isotropic, so the value list is nonempty
-        if min(v.real for v in cls.normalized_lambdas) < -tol:
+        if min(v.real for v in cls.normalized_lambdas) < -1e-8:
             return False
     return True
 
@@ -490,6 +476,12 @@ def singular_probe(A: Tensor, trials: int = 5,
                        trials=trials)
 
 
+def _zero_points(report: SpectralReport) -> tuple:
+    """Projective points of the report's eigenvalue-zero classes."""
+    return tuple(ProjPoint(c.representative.x) for c in report.classes
+                 if abs(complex(c.representative.lam)) <= LAMBDA_ZERO_TOL)
+
+
 def zero_eigenvectors(f: PolyForm,
                       cfg: TrackerConfig | None = None) -> ZeroLocus:
     """Projective points where grad f vanishes (eigenvalue-zero classes).
@@ -499,9 +491,7 @@ def zero_eigenvectors(f: PolyForm,
     sampled points are still returned.
     """
     report = eigenclasses(tensor_from_form(f), cfg)
-    pts = tuple(ProjPoint(c.representative.x) for c in report.classes
-                if abs(complex(c.representative.lam)) <= LAMBDA_ZERO_TOL)
-    return ZeroLocus(points=pts,
+    return ZeroLocus(points=_zero_points(report),
                      positive_dimensional=report.positive_dimensional)
 
 

@@ -167,10 +167,14 @@ class EigenClass:
 
     representative: EigenPair
     multiplicity: int
-    isotropic: bool
     normalized_lambdas: tuple = ()
     cluster_size: int = 0
     condition: float = 0.0
+
+    @property
+    def isotropic(self) -> bool:
+        """x.x = 0 at the representative: no rescaling reaches x.x = 1."""
+        return not self.normalized_lambdas
 
 
 @dataclass(frozen=True)
@@ -261,13 +265,17 @@ def tensor_from_form(f: PolyForm) -> Tensor:
         raise ValueError("form degree must be >= 2")
     arr = np.zeros((n,) * m, dtype=np.complex128)
     mfact = math.factorial(m)
-    for expo, coeff in f.terms.items():
-        entry = m * coeff * _multiset_factorial(expo) / mfact
-        base = []
-        for v, e in enumerate(expo):
-            base.extend([v] * e)
-        for idx in set(itertools.permutations(base)):
-            arr[idx] = entry
+    entries = [m * coeff * _multiset_factorial(expo) / mfact
+               for expo, coeff in f.terms.items()]
+    # each index tuple once, m!/expo! per term: extend every prefix (after
+    # its term's number) by every variable its term has not used up
+    idx = np.arange(len(entries))[:, None]
+    left = np.array(list(f.terms), dtype=int).reshape(len(entries), n)
+    for _ in range(m):
+        r, v = np.nonzero(left)
+        idx, left = np.column_stack([idx[r], v]), left[r]
+        left[np.arange(len(r)), v] -= 1
+    arr[tuple(idx[:, 1:].T)] = np.array(entries, dtype=np.complex128)[idx[:, 0]]
     return Tensor(m, n, arr)
 
 
@@ -287,15 +295,15 @@ def form_from_tensor(A: Tensor) -> PolyForm:
     return PolyForm(m, n, terms)
 
 
-def _dominant_index(x: np.ndarray, rel_tol: float = 1e-7) -> int:
+def _dominant_index(x: np.ndarray) -> int:
     # lowest index whose modulus ties the max; the relative tolerance keeps
     # the choice stable across endpoints that differ only by tracking noise
     a = np.abs(x)
-    return int(np.argmax(a >= (1.0 - rel_tol) * float(np.max(a))))
+    return int(np.argmax(a >= (1.0 - 1e-7) * float(np.max(a))))
 
 
-def _first_significant(x: np.ndarray, rel_tol: float = 1e-8) -> int:
-    cutoff = rel_tol * float(np.max(np.abs(x)))
+def _first_significant(x: np.ndarray) -> int:
+    cutoff = 1e-8 * float(np.max(np.abs(x)))
     for j, v in enumerate(x):
         if abs(v) > cutoff:
             return j
@@ -344,17 +352,17 @@ def equivalent(p: EigenPair, q: EigenPair, m: int, tol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(cp.x - cq.x)) <= tol * max(1.0, float(np.max(np.abs(cp.x)))))
 
 
-def normalized_eigenvalues(pair: EigenPair, m: int, iso_tol: float = ISOTROPY_TOL) -> tuple:
+def normalized_eigenvalues(pair: EigenPair, m: int) -> tuple:
     """Eigenvalue(s) after rescaling the pair to x.x = 1.
 
     Returns both signs for odd m and the single value for even m; the empty
-    tuple when x is isotropic (|x.x| <= iso_tol at unit 2-norm), since no
-    such rescaling exists.
+    tuple when x is isotropic (|x.x| <= ISOTROPY_TOL at unit 2-norm), since
+    no such rescaling exists.
     """
     x = np.asarray(pair.x, dtype=np.complex128)
     w = x / np.linalg.norm(x)
     s = complex(np.dot(w, w))
-    if abs(s) <= iso_tol:
+    if abs(s) <= ISOTROPY_TOL:
         return ()
     lam_unit = complex(pair.lam) / np.linalg.norm(x) ** (m - 2)
     t = 1.0 / np.sqrt(s)  # principal branch
@@ -362,3 +370,22 @@ def normalized_eigenvalues(pair: EigenPair, m: int, iso_tol: float = ISOTROPY_TO
     if m % 2 == 1:
         return (val, -val)
     return (val,)
+
+
+def key_order(rows) -> np.ndarray:
+    """The stable order of `rows`, equal-length sequences of complex
+    numbers (a 1-d array is a column), compared by the real and
+    imaginary part of each entry in turn, rounded to 7 decimals: last-bit
+    noise, such as in the real parts of a conjugate pair, cannot swap two
+    rows.  Eigenclasses are ordered by their representatives (lam, *x)."""
+    if not len(rows):
+        return np.zeros(0, dtype=int)
+    Y = np.array(rows, dtype=np.complex128).reshape(len(rows), -1)
+    return np.lexsort(np.round(Y.view(float), 7).T[::-1])
+
+
+def key_sorted(classes) -> tuple:
+    """The eigenclasses in `key_order` of their representatives."""
+    order = key_order([(c.representative.lam, *c.representative.x)
+                       for c in classes])
+    return tuple(classes[i] for i in order)

@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 
+# n^m above this is refused before anything is allocated: 160 MB of
+# complex entries, far above any tensor a total-degree solve can take
+# (and numpy arrays have at most 64 axes, so m <= 64)
+MAX_ENTRIES = 10**7
+
+
 @dataclass(frozen=True)
 class LoadedTensor:
     """A parsed tensor plus the source form when one was given."""
@@ -74,6 +80,9 @@ def parse_tensor_json(text: str) -> LoadedTensor:
     if not isinstance(m, int) or not isinstance(n, int) \
             or isinstance(m, bool) or isinstance(n, bool):
         raise ValueError("m and n must be integers")
+    if not (2 <= m <= 64 and n >= 1 and n**m <= MAX_ENTRIES):
+        raise ValueError(f"need 2 <= m <= 64, n >= 1 and n^m <= {MAX_ENTRIES}, "
+                         f"got m={m}, n={n}")
 
     if encoding == "dense":
         if not isinstance(entries, list) or len(entries) != n**m:

@@ -199,6 +199,17 @@ def test_charpoly_routes():
     # the diagonal tensor has the axis eigenvectors (1, 0) and (0, 1); the
     # fixed form 3 x1 + 7 x2 vanishes at neither, so it stays direct
     assert charpoly_exact_2_3(exact_222([1, 0, 0, 0, 0, 0, 0, 1])).anchor == "c2"
+    # the eigenvector (7, -3) lies on 3 x1 + 7 x2 = 0, so the resultant's
+    # mu^3 coefficient vanishes though C2 = 928/2401 does not; the
+    # perturbation route keeps C2 at its closed form and C8 = -Res^2
+    vals = [gr(Fraction(61, 49)), 1, 2, 1, gr(Fraction(-3, 7)), 1, -1, 2]
+    A = exact_222(vals)
+    cp = charpoly_exact_2_3(A)
+    assert cp.anchor == "perturbation"
+    u = -vals[0] + vals[3] + vals[5] + vals[6]
+    v = vals[1] + vals[2] + vals[4] - vals[7]
+    assert cp.c2 == u * u + v * v == gr(Fraction(928, 2401))
+    assert cp.c8 == -resultant_quadratics_2(A) ** 2
 
 
 def test_charpoly_perturbed_matches_direct():

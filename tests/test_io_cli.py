@@ -5,6 +5,7 @@ import functools
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +109,22 @@ def test_parse_rejects_malformed_input():
                     "entries": [{"exponents": [3, 0], "coeff": 1}]}),
         json.dumps({"m": 4, "n": 2, "encoding": "form", "entries": [{}]}),
         json.dumps({"m": True, "n": 2, "encoding": "dense", "entries": []}),
+        json.dumps({"m": -1, "n": 0, "encoding": "dense", "entries": []}),
+        json.dumps({"m": 100, "n": 2, "encoding": "dense", "entries": []}),
     ]
     for text in bad:
         with pytest.raises(ValueError):
             parse_tensor_json(text)
+    # n^m = 10^9 entries: refused before the 16 GB array is allocated
+    huge = json.dumps({"m": 9, "n": 10, "encoding": "form", "entries": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n\\^m <="):
+            parse_tensor_json(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_sig15_and_complex_pair():
@@ -191,6 +204,10 @@ def test_cli_eig_bad_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["eig", str(tmp_path / "missing.json")]) == INPUT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+    path = write(tmp_path, "huge.json",
+                 '{"m":9,"n":10,"encoding":"form","entries":[]}')
+    assert main(["psd", path]) == INPUT_ERROR
+    assert "n^m <=" in capsys.readouterr().err
 
 
 def test_cli_charpoly(tmp_path, capsys):

@@ -331,6 +331,11 @@ def test_converged_endpoint_residuals(monkeypatch):
         doubled = outs[:i] + (outs[j],) + outs[i + 1:]
         _, dg = group_into_classes(doubled, A, CFG)
         assert dg.degenerate_clusters == 1
+        # with every path lost there is no class to order, and no error
+        lost = tuple(homotopy.PathOutcome(homotopy.STEP_UNDERFLOW, None, 1.0)
+                     for _ in outs)
+        cls, dg = group_into_classes(lost, A, CFG)
+        assert cls == () and dg.failed_paths == len(outs)
         monkeypatch.setattr(spectra, "track_all", lambda system, cfg: doubled)
         assert not eigenclasses(A, CFG).clean
 

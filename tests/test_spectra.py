@@ -29,6 +29,8 @@ from teneig.spectra import (
 from teneig.exact import is_singular_222
 from teneig.tensorio import parse_tensor_json
 from teneig.tensor import (
+    EigenClass,
+    EigenPair,
     PolyForm,
     Tensor,
     form_from_tensor,
@@ -106,6 +108,16 @@ def test_merge_values_order_ignores_last_bits():
         pair = [complex(re_up, b), complex(re_down, -b)]
         for values in (pair, pair[::-1]):
             assert [z.imag for z in _merge_values(values)] == [-b, b]
+            # value_multiplicities lists the pair in the same order
+            classes = tuple(EigenClass(EigenPair(1.0, [1.0, 0.0]), k,
+                                       normalized_lambdas=(v,))
+                            for k, v in enumerate(values, start=1))
+            report = SpectralReport(m=4, n=2, classes=classes,
+                                    expected_count=3, total_multiplicity=3,
+                                    positive_dimensional=False,
+                                    normalized_values=(), isotropic_count=0,
+                                    failed_paths=0)
+            assert [z.imag for z, _ in value_multiplicities(report)] == [-b, b]
 
 
 def test_diagonal_classes_oracle():

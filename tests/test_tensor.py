@@ -1,5 +1,7 @@
 """Tests for the core types: tensors, forms, pairs, and canonical forms."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,29 @@ def test_form_tensor_roundtrip():
     arr[0, 1, 1] = 1.0
     with pytest.raises(ValueError):
         form_from_tensor(Tensor(3, 2, arr))
+
+
+def test_tensor_from_form_fills_each_index_tuple_once():
+    # the same entries, bit for bit, as a fill through every ordering of
+    # each term's index multiset, which costs m! per term
+    from itertools import permutations
+    from math import comb, factorial, prod
+
+    f = PolyForm(6, 3, {(4, 2, 0): 1.0, (2, 2, 2): -3.0j, (1, 0, 5): 0.7,
+                        (0, 6, 0): 2.5})
+    ref = np.zeros((3,) * 6, dtype=complex)
+    for expo, c in f.terms.items():
+        base = [v for v, e in enumerate(expo) for _ in range(e)]
+        for idx in set(permutations(base)):
+            ref[idx] = 6 * c * prod(map(factorial, expo)) / factorial(6)
+    assert np.array_equal(tensor_from_form(f).array, ref)
+    # a one-term order-13 form has 13! orderings but 1716 index tuples
+    start = time.perf_counter()
+    A = tensor_from_form(PolyForm(13, 2, {(6, 7): 1.0}))
+    assert time.perf_counter() - start < 5.0
+    entry = 13 * factorial(6) * factorial(7) / factorial(13)
+    assert np.count_nonzero(A.array) == comb(13, 6)
+    assert np.all(A.array[A.array != 0] == entry)
 
 
 def test_gradient_consistency_with_tensor():
