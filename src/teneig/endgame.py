@@ -16,8 +16,6 @@ from .homotopy import (
     ACCEPT_RESIDUAL,
     CONVERGED,
     CORRECTOR_TOL,
-    DIVERGED,
-    DIVERGENCE_BOUND,
     ENDGAME_RADIUS,
     MAX_CORRECTOR_ITERS,
     STEP_UNDERFLOW,
@@ -64,7 +62,7 @@ def _loop(hom: _Homotopy, U: np.ndarray, K: np.ndarray, r: float,
     """One loop of t = 1 - r exp(i theta) in ENDGAME_SAMPLES arcs for the
     rows of U as one stack, each arc counted in steps[rows]; returns where
     each row stopped, du/dt there, the sum of the nodes it visited, and
-    which rows went round within DIVERGENCE_BOUND."""
+    which rows went round."""
     t = 1.0 - r * np.exp(2j * np.pi / ENDGAME_SAMPLES
                          * np.arange(ENDGAME_SAMPLES + 1))
     U, K, nodes = U.copy(), K.copy(), np.zeros_like(U)
@@ -75,7 +73,6 @@ def _loop(hom: _Homotopy, U: np.ndarray, K: np.ndarray, r: float,
         one = np.ones(len(live))
         U[live], K[live], ok[live] = _arcs(hom, U[live], K[live],
                                            t[k] * one, t[k + 1] * one)
-        ok[live] &= np.abs(U[live]).max(axis=1) <= DIVERGENCE_BOUND
         live = live[ok[live]]
     return U, K, nodes, ok
 
@@ -137,10 +134,9 @@ def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray) -> list:
     the radius until two consecutive circles agree on winding and mean
     filters them out.  Between radii the rows move along the real t axis
     by Newton hops, each from its landing on its own sheet, or from its
-    start if it did not close.
+    start if it did not close.  Any other row ends as STEP_UNDERFLOW.
     """
     r, U, steps = ENDGAME_RADIUS, U.copy(), steps.copy()
-    escaping = np.abs(U).max(axis=1) > 1e3
     outcomes: list = [None] * len(U)
     K, prev = np.full_like(U, np.nan), np.full_like(U, np.nan)
     prev_w, live = np.zeros(len(U), dtype=int), np.arange(len(U))
@@ -161,7 +157,7 @@ def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray) -> list:
                                             int(steps[live[p]]), int(w[p]))
         prev[live], prev_w[live] = est, w
         U[live] = np.where((w > 0)[:, None], back, U[live])
-        live = live[~done & (np.abs(back).max(axis=1) <= DIVERGENCE_BOUND)]
+        live = live[~done]
         for k in range(1, 9):           # Newton hops from 1 - r to 1 - r/2
             if not live.size:
                 break
@@ -173,6 +169,6 @@ def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray) -> list:
     # an estimate never confirmed at a second radius is not an endpoint
     rest = [p for p, out in enumerate(outcomes) if out is None]
     for p, res in zip(rest, hom.target_residual(U[rest]) if rest else ()):
-        status = DIVERGED if escaping[p] else STEP_UNDERFLOW
-        outcomes[p] = PathOutcome(status, None, float(res), int(steps[p]), 0)
+        outcomes[p] = PathOutcome(STEP_UNDERFLOW, None, float(res),
+                                  int(steps[p]), 0)
     return outcomes

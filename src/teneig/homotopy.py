@@ -47,7 +47,6 @@ from .tensor import (
 )
 
 CONVERGED = "converged"
-DIVERGED = "diverged"
 STEP_UNDERFLOW = "step_underflow"
 
 ACCEPT_RESIDUAL = 1e-9          # max-norm residual for a converged endpoint
@@ -61,7 +60,7 @@ STEP_TOL = 1e-3                 # relative corrector correction a step aims at
 MIN_STEP = 1e-7                 # a path whose step falls below this fails
 CORRECTOR_TOL = 1e-11           # Newton update size that ends a correction
 MAX_CORRECTOR_ITERS = 3         # Newton iterations per predictor step
-DIVERGENCE_BOUND = 1e8          # |u| beyond this marks a diverging path
+MAX_STACK_ENTRIES = 5 * 10**7   # (m-1)^n paths x n^(m-1), a stacked product
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class PathOutcome:
-    """One tracked path: endpoint in the patch chart, or a failure kind."""
+    """One tracked path: CONVERGED with its endpoint in the chart, or lost."""
 
     status: str
     endpoint: np.ndarray | None
@@ -245,7 +244,7 @@ def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
     small, well-conditioned correction there is a regular endpoint.  A
     clustered endpoint reached by plain Newton is only sqrt(res)
     accurate, and a large correction means the iterate left the path
-    (e.g. a path escaping to infinity pulled onto a finite root): those
+    (e.g. a path leaving the chart pulled onto a finite root): those
     rows go to the endgame.  Returns (outcomes, U, steps): an outcome
     per row, None for a row left for the endgame from U[p] at the edge,
     and each row's step count, counted on from `steps`.
@@ -258,7 +257,6 @@ def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
     H = np.full(P, INITIAL_STEP)
     steps = steps.copy()
     grow = np.ones(P, dtype=bool)               # False right after a rejection
-    diverged = np.zeros(P, dtype=bool)
     underflow = np.zeros(P, dtype=bool)
     live = np.arange(P)
     while live.size:
@@ -275,22 +273,19 @@ def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
         H[acc] = h[ok] * np.where(grow[acc], gain, np.minimum(gain, 1.0))
         H[rej] = 0.5 * h[~ok]
         grow[acc], grow[rej] = True, False
-        diverged[acc] = np.abs(U[acc]).max(axis=1) > DIVERGENCE_BOUND
         underflow[rej] = H[rej] < MIN_STEP
-        live = live[(T[live] < t_edge) & ~diverged[live] & ~underflow[live]]
+        live = live[(T[live] < t_edge) & ~underflow[live]]
         underflow[live] = steps[live] >= MAX_STEPS
         live = live[~underflow[live]]
 
     outcomes: list = [None] * P
-    for p in np.flatnonzero(diverged):
-        outcomes[p] = PathOutcome(DIVERGED, None, float("inf"), int(steps[p]), 0)
     lost = np.flatnonzero(underflow)
     if lost.size:
         for p, res in zip(lost, hom.target_residual(U[lost])):
             outcomes[p] = PathOutcome(STEP_UNDERFLOW, None, float(res),
                                       int(steps[p]), 0)
-    edge = np.flatnonzero(~diverged & ~underflow)
-    if not edge.size:
+    edge = np.flatnonzero(~underflow)
+    if not edge.size:                   # value_and_jacobian needs a row
         return outcomes, U, steps
     ones = np.ones(len(edge))
     UF = hom.newton(U[edge], ones, REFINE_TARGET, 12)[0]
@@ -359,7 +354,11 @@ def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]
     regular root is reached by one path only, so two regular endpoints
     on one point mean a path jumped: both are tracked again at a
     1000-fold tighter step tolerance.  The paths left for the endgame
-    finish in `cauchy_endgame`, as one stack."""
+    finish in `cauchy_endgame`, as one stack.  A stack past
+    MAX_STACK_ENTRIES raises ValueError before any path is listed."""
+    d, n = system.degrees[0], system.neq
+    if d ** n * n ** d > MAX_STACK_ENTRIES:
+        raise ValueError(f"path stack {d}^{n} x {n}^{d} > {MAX_STACK_ENTRIES}")
     hom = _materialize(system, cfg)
     U0 = hom.start_points()
     outcomes, U, steps = _line_phase(hom, U0, STEP_TOL,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,26 +62,39 @@ VALUE_MERGE_TOL = 1e-8          # distinct normalized values closer than this me
 class SpectralReport:
     """Summary of one eigenclass computation.
 
-    ``clean`` means no failed paths, no positive-dimensional family, no
-    degenerate cluster, and ``total_multiplicity`` equal to
-    ``expected_count`` (the count theorem; a path jump breaks it);
-    ``normalized_values`` collects the distinct eigenvalues at x.x = 1
-    representatives, and ``degenerate_clusters`` counts clusters whose
-    path count did not divide evenly by m - 2, or that lie on no family
-    with a multiplicity their Jacobian denies (1 but singular, or more
-    than 1 but nonsingular: two paths on one regular root).
+    Stores what the solve decides: shape, classes, a positive-dimensional
+    family, failed paths and degenerate clusters (path count not
+    divisible by m - 2, or on no family with a multiplicity the Jacobian
+    denies: 1 but singular, or above 1 but nonsingular).  Derives
+    ``expected_count`` (the count theorem), ``total_multiplicity``,
+    ``isotropic_count`` and ``normalized_values`` (distinct values at
+    x.x = 1 representatives, computed once).  ``clean``: no failed path,
+    family or degenerate cluster, and the expected total multiplicity.
     """
 
     m: int
     n: int
     classes: tuple
-    expected_count: int
-    total_multiplicity: int
     positive_dimensional: bool
-    normalized_values: tuple
-    isotropic_count: int
     failed_paths: int
     degenerate_clusters: int = 0
+
+    @property
+    def expected_count(self) -> int:
+        return expected_count(self.m, self.n)
+
+    @property
+    def total_multiplicity(self) -> int:
+        return sum(c.multiplicity for c in self.classes)
+
+    @property
+    def isotropic_count(self) -> int:
+        return sum(c.isotropic for c in self.classes)
+
+    @cached_property
+    def normalized_values(self) -> tuple:
+        return _merge_values([v for c in self.classes
+                              for v in c.normalized_lambdas])
 
     @property
     def clean(self) -> bool:
@@ -254,23 +268,11 @@ def eigenclasses(A: Tensor, cfg: TrackerConfig | None = None) -> SpectralReport:
     cfg = cfg or TrackerConfig()
     if A.m == 2:
         classes, positive_dim, degenerate = _matrix_classes(A, cfg)
-        failed = 0
-    else:
-        classes, diag = group_into_classes(
-            track_all(build_eigen_system(A), cfg), A, cfg)
-        positive_dim, failed = diag.positive_dimensional, diag.failed_paths
-        degenerate = diag.degenerate_clusters
-    return SpectralReport(
-        m=A.m, n=A.n, classes=classes,
-        expected_count=expected_count(A.m, A.n),
-        total_multiplicity=sum(c.multiplicity for c in classes),
-        positive_dimensional=positive_dim,
-        normalized_values=_merge_values(
-            [v for c in classes for v in c.normalized_lambdas]),
-        isotropic_count=sum(c.isotropic for c in classes),
-        failed_paths=failed,
-        degenerate_clusters=degenerate,
-    )
+        return SpectralReport(A.m, A.n, classes, positive_dim, 0, degenerate)
+    classes, diag = group_into_classes(
+        track_all(build_eigen_system(A), cfg), A, cfg)
+    return SpectralReport(A.m, A.n, classes, diag.positive_dimensional,
+                          diag.failed_paths, diag.degenerate_clusters)
 
 
 def value_multiplicities(report: SpectralReport) -> tuple:

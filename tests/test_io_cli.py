@@ -15,7 +15,7 @@ from teneig.cli import DEGENERATE, INPUT_ERROR, OK, main
 from teneig.exact import GaussianRational
 from teneig.tensorio import complex_pair, parse_tensor_json, report_to_json, sig15
 from teneig.homotopy import TrackerConfig
-from teneig import spectra
+from teneig import cli, spectra
 from teneig.spectra import eigenclasses, is_positive_semidefinite
 from teneig.tensor import Tensor
 
@@ -208,6 +208,20 @@ def test_cli_eig_bad_input(tmp_path, capsys):
                  '{"m":9,"n":10,"encoding":"form","entries":[]}')
     assert main(["psd", path]) == INPUT_ERROR
     assert "n^m <=" in capsys.readouterr().err
+    # (3,30) passes the n^m cap but has 2^30 paths to list; (7,6) would
+    # ask the first stacked evaluation for 6^6 x 6^6 complex entries,
+    # about 35 GB: both are refused before any path is listed
+    for m, n in [(3, 30), (7, 6)]:
+        path = write(tmp_path, f"wide{m}{n}.json",
+                     {"m": m, "n": n, "encoding": "form", "entries": []})
+        tracemalloc.start()
+        try:
+            assert main(["eig", path]) == INPUT_ERROR
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e7
+        assert "path stack" in capsys.readouterr().err
 
 
 def test_cli_charpoly(tmp_path, capsys):
@@ -232,6 +246,19 @@ def test_cli_psd(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "PSD: false"
     assert main(["psd", sos]) == OK
     assert capsys.readouterr().out.strip() == "PSD: true"
+    # a dense file goes through form_from_tensor: x^4 - y^4 is not PSD,
+    # and a tensor that is not symmetric has no form, an input error
+    ent = [0] * 16
+    ent[0], ent[15] = 1, -1
+    sym = write(tmp_path, "sym.json",
+                {"m": 4, "n": 2, "encoding": "dense", "entries": ent})
+    assert main(["psd", sym]) == OK
+    assert capsys.readouterr().out.strip() == "PSD: false"
+    ent[1] = 1                                  # A[0,0,0,1] alone
+    asym = write(tmp_path, "asym.json",
+                 {"m": 4, "n": 2, "encoding": "dense", "entries": ent})
+    assert main(["psd", asym]) == INPUT_ERROR
+    assert "symmetric" in capsys.readouterr().err
 
 
 def test_cli_psd_undecided_on_a_report_that_lost_a_path(tmp_path, capsys,
@@ -270,6 +297,27 @@ def test_cli_singular(tmp_path, capsys):
     assert "exact: not singular" in out
 
 
+def test_cli_singular_inconclusive_probe(tmp_path, capsys, monkeypatch):
+    # probe trials that disagree leave no verdict: exit 2 in both formats,
+    # with the exact certificate still given where it applies
+    def disagree(A, trials, cfg):
+        raise RuntimeError("probe trials disagree: 2/5 hits")
+
+    monkeypatch.setattr(cli, "singular_probe", disagree)
+    fp = write(tmp_path, "fineprint.json", FINEPRINT)
+    assert main(["singular", fp]) == DEGENERATE
+    assert capsys.readouterr().out.splitlines() == [
+        "probe: inconclusive (probe trials disagree: 2/5 hits)",
+        "exact: singular"]
+    assert main(["singular", fp, "--format", "machine"]) == DEGENERATE
+    obj = json.loads(capsys.readouterr().out)
+    assert obj == {"exact": True,
+                   "probe": {"inconclusive": "probe trials disagree: 2/5 hits"}}
+    inexact = write(tmp_path, "float.json", dict(ONES, entries=[0.5] + [1] * 7))
+    assert main(["singular", inexact]) == DEGENERATE
+    assert "exact: unavailable" in capsys.readouterr().out
+
+
 def test_cli_hyperdet(tmp_path, capsys):
     ones = write(tmp_path, "ones.json", ONES)
     assert main(["hyperdet", ones]) == OK
@@ -302,6 +350,31 @@ def test_cli_dynamics(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["nilpotency"]["status"] == "undetermined"
     assert len(obj["base_locus"]) == 3
+
+    # A x^2 = (x1^2, 0): (1 : 0) is a fixed point with eigenvalue 1 and
+    # (0 : 1) the base locus; from (1 : 1) the orbit reaches the fixed
+    # point, and from (0 : 1) it stops on the base locus at once
+    sq = write(tmp_path, "square.json", {"m": 3, "n": 2, "encoding": "dense",
+                                         "entries": [1, 0, 0, 0, 0, 0, 0, 0]})
+    assert main(["dynamics", sq, "--start", "1,1"]) == OK
+    out = capsys.readouterr().out
+    assert "nilpotency: not nilpotent (eigenvalue 1 != 0)" in out
+    assert out.splitlines()[-1] == "  -> fixed point, eigenvalue 1"
+    assert main(["dynamics", sq, "--start", "0,1"]) == OK
+    assert capsys.readouterr().out.splitlines()[-1] == "  -> base locus"
+
+    assert main(["dynamics", sq, "--start", "1,1", "--format", "machine"]) == OK
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["nilpotency"]["status"] == "not_nilpotent"
+    assert obj["nilpotency"]["witness_lambda"] == [1.0, 0.0]
+    orb = obj["orbit"]
+    assert (orb["fixed_point"], orb["base_locus_hit"]) == (True, False)
+    assert orb["points"][-1] == [[1.0, 0.0], [0.0, 0.0]]
+    assert len(orb["points"]) == 2
+    assert main(["dynamics", sq, "--start", "0,1", "--format", "machine"]) == OK
+    orb = json.loads(capsys.readouterr().out)["orbit"]
+    assert (orb["fixed_point"], orb["base_locus_hit"]) == (False, True)
+    assert orb["points"] == [[[0.0, 0.0], [1.0, 0.0]]]
 
 
 def test_cli_output_file(tmp_path, capsys):

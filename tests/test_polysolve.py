@@ -11,6 +11,7 @@ from teneig.homotopy import (
     CONVERGED,
     CORRECTOR_TOL,
     STEP_TOL,
+    STEP_UNDERFLOW,
     TrackerConfig,
     _Homotopy,
     _materialize,
@@ -18,6 +19,7 @@ from teneig.homotopy import (
     group_into_classes,
     track_all,
 )
+from teneig.cli import DEGENERATE, main
 from teneig.polysys import PolySystem, build_eigen_system, build_shifted_system
 from teneig.spectra import eigenclasses, value_multiplicities
 from teneig.tensor import EigenPair, Tensor, apply_power, canonicalize, expected_count
@@ -311,6 +313,33 @@ def test_jumped_paths_are_tracked_again(monkeypatch):
         assert np.allclose(got.representative.x, ref.representative.x, atol=1e-8)
 
 
+def test_path_that_leaves_the_chart_is_lost(tmp_path, capsys):
+    # an eigenpair (x, lam) with c.u = 0 on the patch's hyperplane lies
+    # at infinity in the chart: a rank-one correction of a random tensor
+    # puts one there, and the path that goes to it ends as a lost path,
+    # so the report is not clean and `teneig eig` exits 2
+    rng = np.random.default_rng(3)
+    for m, n in [(3, 2), (3, 3), (4, 3)]:
+        A0 = rand_tensor(m, n, rng)
+        c = _materialize(build_eigen_system(A0), CFG).patch
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lam = -(c[:n] @ x) / c[n]
+        corr = lam ** (m - 2) * x - apply_power(A0, x)
+        for _ in range(m - 1):
+            corr = np.multiply.outer(corr, x.conj() / (x.conj() @ x))
+        A = Tensor(m, n, A0.array + corr)
+        assert np.allclose(apply_power(A, x), lam ** (m - 2) * x, atol=1e-12)
+        outs = track_all(build_eigen_system(A), CFG)
+        assert [o.status for o in outs if not o.converged] == [STEP_UNDERFLOW]
+        assert not eigenclasses(A, CFG).clean
+        path = tmp_path / f"chart{m}{n}.json"
+        path.write_text(json.dumps({
+            "m": m, "n": n, "encoding": "dense",
+            "entries": [[z.real, z.imag] for z in A.array.ravel()]}))
+        assert main(["eig", str(path)]) == DEGENERATE
+        assert "failed_paths=1" in capsys.readouterr().out
+
+
 def test_converged_endpoint_residuals(monkeypatch):
     rng = np.random.default_rng(6)
     for m, n in [(3, 2), (3, 3)]:
@@ -336,6 +365,11 @@ def test_converged_endpoint_residuals(monkeypatch):
                      for _ in outs)
         cls, dg = group_into_classes(lost, A, CFG)
         assert cls == () and dg.failed_paths == len(outs)
+        # a pass that loses every path leaves no endpoint to refine
+        with monkeypatch.context() as patched:
+            patched.setattr(homotopy, "MAX_STEPS", 1)
+            assert all(o.status == STEP_UNDERFLOW
+                       for o in track_all(build_eigen_system(A), CFG))
         monkeypatch.setattr(spectra, "track_all", lambda system, cfg: doubled)
         assert not eigenclasses(A, CFG).clean
 

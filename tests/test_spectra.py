@@ -90,13 +90,17 @@ def test_unit_diagonal_report():
 def test_report_clean_requires_the_count():
     # a lost or doubled path leaves no failed path behind, only a total
     # multiplicity off the count theorem's
-    rep = SpectralReport(m=3, n=2, classes=(), expected_count=3,
-                         total_multiplicity=3, positive_dimensional=False,
-                         normalized_values=(), isotropic_count=0,
-                         failed_paths=0)
+    def report(*mults):
+        classes = tuple(EigenClass(EigenPair(1.0, [1.0, 0.0]), k)
+                        for k in mults)
+        return SpectralReport(m=3, n=2, classes=classes,
+                              positive_dimensional=False, failed_paths=0)
+
+    rep = report(1, 2)
+    assert rep.total_multiplicity == rep.expected_count == 3
     assert rep.clean
-    for total in (2, 4):
-        assert not dataclasses.replace(rep, total_multiplicity=total).clean
+    for mults in ((2,), (1, 1, 2)):
+        assert not report(*mults).clean
     assert not dataclasses.replace(rep, positive_dimensional=True).clean
 
 
@@ -113,9 +117,7 @@ def test_merge_values_order_ignores_last_bits():
                                        normalized_lambdas=(v,))
                             for k, v in enumerate(values, start=1))
             report = SpectralReport(m=4, n=2, classes=classes,
-                                    expected_count=3, total_multiplicity=3,
                                     positive_dimensional=False,
-                                    normalized_values=(), isotropic_count=0,
                                     failed_paths=0)
             assert [z.imag for z, _ in value_multiplicities(report)] == [-b, b]
 
