@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean, 1 input error, 2 degenerate or inconclusive result
 (`eig`: any report that is not clean; indeterminate polynomial,
-undetermined nilpotency, disagreeing probe trials, a PSD verdict left
-undecided by a report that may have lost a class).
+undetermined nilpotency, disagreeing probe trials, a `singular` probe
+whose solve lost a path, a PSD verdict left undecided by a report that
+may have lost a class).
 """
 
 from __future__ import annotations

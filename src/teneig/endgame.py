@@ -14,12 +14,9 @@ import numpy as np
 
 from .homotopy import (
     ACCEPT_RESIDUAL,
-    CONVERGED,
     CORRECTOR_TOL,
     ENDGAME_RADIUS,
     MAX_CORRECTOR_ITERS,
-    STEP_UNDERFLOW,
-    PathOutcome,
     _Homotopy,
     _near,
 )
@@ -42,8 +39,6 @@ def _arcs(hom: _Homotopy, U: np.ndarray, K: np.ndarray, t0: np.ndarray,
     from du/dt = K (NaN where unknown); failing rows are bisected as a
     sub-stack, at most 5 deep.  Returns the furthest point each row
     reached, du/dt there, and which rows reached t1."""
-    if not len(U):
-        return U, K, np.zeros(0, dtype=bool)
     Un, ok, _, Kn = hom.step(U, t0, t1 - t0, CORRECTOR_TOL,
                              MAX_CORRECTOR_ITERS + 2, K)
     U, K = np.where(ok[:, None], Un, U), np.where(ok[:, None], Kn, K)
@@ -122,10 +117,12 @@ def _circle(hom: _Homotopy, S: np.ndarray, K: np.ndarray, r: float,
     return w, nodes, back
 
 
-def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray) -> list:
+def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray):
     """Cauchy-integral endgame with an adaptive radius for the rows of U
-    at the endgame edge, as one stack; an outcome per row, with its step
-    count counted on from `steps`.
+    at the endgame edge, as one stack.  Returns (E, res, steps, winding),
+    each indexed by row: the endpoint, NaN where none was confirmed; its
+    residual, or that of the row's last point; the step count, counted
+    on from `steps`; and the winding, 0 where no endpoint was confirmed.
 
     The circle mean equals the endpoint only while the disk |1 - t| <= r
     contains no branch point of the path field besides t = 1 itself;
@@ -134,10 +131,11 @@ def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray) -> list:
     the radius until two consecutive circles agree on winding and mean
     filters them out.  Between radii the rows move along the real t axis
     by Newton hops, each from its landing on its own sheet, or from its
-    start if it did not close.  Any other row ends as STEP_UNDERFLOW.
+    start if it did not close.  Any other row is lost.
     """
     r, U, steps = ENDGAME_RADIUS, U.copy(), steps.copy()
-    outcomes: list = [None] * len(U)
+    E, res = np.full_like(U, np.nan), np.full(len(U), np.nan)
+    winding = np.zeros(len(U), dtype=int)
     K, prev = np.full_like(U, np.nan), np.full_like(U, np.nan)
     prev_w, live = np.zeros(len(U), dtype=int), np.arange(len(U))
     for _ in range(MAX_RADIUS_HALVINGS):
@@ -145,16 +143,13 @@ def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray) -> list:
             break
         w, nodes, back = _circle(hom, U[live], K[live], r, steps, live)
         est = nodes / (ENDGAME_SAMPLES * np.maximum(w, 1))[:, None]
-        res = np.full(len(live), np.inf)
-        if w.any():
-            res[w > 0] = hom.target_residual(est[w > 0])
-        done = ((res <= ACCEPT_RESIDUAL) & (prev_w[live] == w)
+        fit = np.full(len(live), np.inf)
+        fit[w > 0] = hom.target_residual(est[w > 0])
+        done = ((fit <= ACCEPT_RESIDUAL) & (prev_w[live] == w)
                 & (np.abs(est - prev[live]).max(axis=1)
                    <= 1e-8 * (1.0 + np.abs(est).max(axis=1))))
-        for p, e in zip(np.flatnonzero(done), est[done]):
-            e.setflags(write=False)
-            outcomes[live[p]] = PathOutcome(CONVERGED, e, float(res[p]),
-                                            int(steps[live[p]]), int(w[p]))
+        p = live[done]
+        E[p], res[p], winding[p] = est[done], fit[done], w[done]
         prev[live], prev_w[live] = est, w
         U[live] = np.where((w > 0)[:, None], back, U[live])
         live = live[~done]
@@ -167,8 +162,6 @@ def cauchy_endgame(hom: _Homotopy, U: np.ndarray, steps: np.ndarray) -> list:
             live = live[ok]
         r /= 2.0
     # an estimate never confirmed at a second radius is not an endpoint
-    rest = [p for p, out in enumerate(outcomes) if out is None]
-    for p, res in zip(rest, hom.target_residual(U[rest]) if rest else ()):
-        outcomes[p] = PathOutcome(STEP_UNDERFLOW, None, float(res),
-                                  int(steps[p]), 0)
-    return outcomes
+    rest = np.isnan(res)
+    res[rest] = hom.target_residual(U[rest])
+    return E, res, steps, winding

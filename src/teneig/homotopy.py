@@ -139,8 +139,8 @@ class _Homotopy:
         J = np.empty(U.shape + (self.v,), dtype=np.complex128)
         H[:, : self.neq] = s * g + t[:, None] * F
         np.multiply(t[:, None, None], JF, out=J[:, : self.neq])
-        J.reshape(len(U), -1)[:, : self.neq * (self.v + 1) : self.v + 1] += \
-            s * self.d * un_d1
+        J.reshape(len(U), self.v * self.v)[
+            :, : self.neq * (self.v + 1) : self.v + 1] += s * self.d * un_d1
         H[:, self.neq] = U @ self.patch - 1.0
         J[:, self.neq] = self.patch
         return H, J, F, g
@@ -245,9 +245,11 @@ def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
     clustered endpoint reached by plain Newton is only sqrt(res)
     accurate, and a large correction means the iterate left the path
     (e.g. a path leaving the chart pulled onto a finite root): those
-    rows go to the endgame.  Returns (outcomes, U, steps): an outcome
-    per row, None for a row left for the endgame from U[p] at the edge,
-    and each row's step count, counted on from `steps`.
+    rows go to the endgame.  Returns (U, E, res, steps), each indexed by
+    row: where the row stopped (for an endgame row, at the edge); its
+    t = 1 endpoint if regular, NaN otherwise; the residual of a finished
+    row, regular or lost, and NaN for a row left for the endgame; and
+    its step count, counted on from `steps`.
     """
     P = len(U0)
     t_edge = 1.0 - ENDGAME_RADIUS
@@ -278,29 +280,21 @@ def _line_phase(hom: _Homotopy, U0: np.ndarray, tol: float,
         underflow[live] = steps[live] >= MAX_STEPS
         live = live[~underflow[live]]
 
-    outcomes: list = [None] * P
-    lost = np.flatnonzero(underflow)
-    if lost.size:
-        for p, res in zip(lost, hom.target_residual(U[lost])):
-            outcomes[p] = PathOutcome(STEP_UNDERFLOW, None, float(res),
-                                      int(steps[p]), 0)
+    E, res = np.full_like(U, np.nan), np.full(P, np.nan)
+    res[underflow] = hom.target_residual(U[underflow])
     edge = np.flatnonzero(~underflow)
-    if not edge.size:                   # value_and_jacobian needs a row
-        return outcomes, U, steps
     ones = np.ones(len(edge))
     UF = hom.newton(U[edge], ones, REFINE_TARGET, 12)[0]
     R, J, _, _ = hom._assemble(UF, ones)
-    res = np.abs(R).max(axis=1)                 # F and the patch at t = 1
+    fit = np.abs(R).max(axis=1)                 # F and the patch at t = 1
     jump = np.abs(UF - U[edge]).max(axis=1)
-    near = ((res <= ACCEPT_RESIDUAL) & np.isfinite(J).all(axis=(1, 2))
+    near = ((fit <= ACCEPT_RESIDUAL) & np.isfinite(J).all(axis=(1, 2))
             & (jump <= 1e-2 * (1.0 + np.abs(U[edge]).max(axis=1))))
     cond = np.full(len(edge), np.inf)
     cond[near] = np.linalg.cond(J[near])
     regular = cond <= 1e6
-    for p, uf, r in zip(edge[regular], UF[regular], res[regular]):
-        uf.setflags(write=False)
-        outcomes[p] = PathOutcome(CONVERGED, uf, float(r), int(steps[p]), 0)
-    return outcomes, U, steps
+    E[edge[regular]], res[edge[regular]] = UF[regular], fit[regular]
+    return U, E, res, steps
 
 
 def _near(A: np.ndarray, B: np.ndarray, rel: float) -> np.ndarray:
@@ -354,31 +348,34 @@ def track_all(system: PolySystem, cfg: TrackerConfig) -> tuple[PathOutcome, ...]
     regular root is reached by one path only, so two regular endpoints
     on one point mean a path jumped: both are tracked again at a
     1000-fold tighter step tolerance.  The paths left for the endgame
-    finish in `cauchy_endgame`, as one stack.  A stack past
-    MAX_STACK_ENTRIES raises ValueError before any path is listed."""
+    finish in `cauchy_endgame`, as one stack.  Each path's endpoint (NaN
+    if none), residual, steps and winding stay in arrays until the return
+    builds the outcomes.  A stack past MAX_STACK_ENTRIES raises
+    ValueError before any path is listed."""
     d, n = system.degrees[0], system.neq
     if d ** n * n ** d > MAX_STACK_ENTRIES:
         raise ValueError(f"path stack {d}^{n} x {n}^{d} > {MAX_STACK_ENTRIES}")
     hom = _materialize(system, cfg)
     U0 = hom.start_points()
-    outcomes, U, steps = _line_phase(hom, U0, STEP_TOL,
-                                     np.zeros(len(U0), dtype=int))
-    regular = np.flatnonzero([o is not None and o.converged for o in outcomes])
-    ends = np.array([outcomes[p].endpoint for p in regular]).reshape(-1, U.shape[1])
-    pairs = _near(ends, ends, 1e-8)             # two paths on one regular root
+    U, E, res, steps = _line_phase(hom, U0, STEP_TOL,
+                                   np.zeros(len(U0), dtype=int))
+    regular = np.flatnonzero(np.isfinite(E).all(axis=1))
+    pairs = _near(E[regular], E[regular], 1e-8)     # two paths, one root
     twice = pairs[:, pairs[0] != pairs[1]].ravel()
     again = regular[np.bincount(twice, minlength=len(regular)) > 0]
-    if again.size:
-        redo, U[again], steps[again] = _line_phase(
-            hom, U0[again], 1e-3 * STEP_TOL, steps[again])
-        for p, out in zip(again, redo):
-            outcomes[p] = out
-    rest = [p for p, out in enumerate(outcomes) if out is None]
-    if rest:
+    U[again], E[again], res[again], steps[again] = _line_phase(
+        hom, U0[again], 1e-3 * STEP_TOL, steps[again])
+    winding = np.zeros(len(U0), dtype=int)
+    rest = np.flatnonzero(np.isnan(res))
+    if rest.size:
         from .endgame import cauchy_endgame     # it imports this module
-        for p, out in zip(rest, cauchy_endgame(hom, U[rest], steps[rest])):
-            outcomes[p] = out
-    return tuple(outcomes)
+        E[rest], res[rest], steps[rest], winding[rest] = cauchy_endgame(
+            hom, U[rest], steps[rest])
+    E.setflags(write=False)
+    found = np.isfinite(E).all(axis=1)
+    return tuple(PathOutcome(CONVERGED if f else STEP_UNDERFLOW,
+                             e if f else None, float(r), int(k), int(w))
+                 for f, e, r, k, w in zip(found, E, res, steps, winding))
 
 
 def _eigen_rows(system: PolySystem, x: np.ndarray, lam):
@@ -513,8 +510,7 @@ def group_into_classes(outcomes, A: Tensor, cfg: TrackerConfig):
     L0 = np.array([complex(p.lam) for p in reps]) / norms ** k
     charts = np.append(X0.conj(), np.zeros((len(reps), 1)), axis=1)[:, None]
     conds = np.linalg.cond(np.concatenate(
-        [_eigen_rows(shifted, X0, L0)[1], charts], axis=1)) if reps \
-        else np.zeros(0)
+        [_eigen_rows(shifted, X0, L0)[1], charts], axis=1))
     singular = conds > POSITIVE_DIM_COND
     family = singular.copy()
     if singular.any():

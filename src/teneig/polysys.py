@@ -74,14 +74,14 @@ class PolySystem:
         M = self._sym.reshape(-1, n)
         if m > 2:
             M = x @ M.T
-            for _ in range(m - 3):
-                M = M.reshape(len(U), -1, n) @ x[:, :, None]
+            for k in range(m - 3):
+                M = M.reshape(len(U), n ** (m - 2 - k), n) @ x[:, :, None]
             M = M.reshape(len(U), n, n)
         lam_m3 = lam ** (m - 3)
         shift = self.lam if self.lam is not None else lam_m3 * lam
         J = np.empty((len(U), n, self.nvars), dtype=np.complex128)
         np.multiply(M, m - 1, out=J[:, :, :n])
-        J.reshape(len(U), -1)[:, :: self.nvars + 1] -= shift   # diagonal of J_x
+        J.reshape(len(U), n * self.nvars)[:, :: self.nvars + 1] -= shift
         if self.lam is None:
             J[:, :, n] = -(m - 2) * lam_m3 * x
         F = (M @ x[:, :, None])[:, :, 0] - shift * x

@@ -438,7 +438,8 @@ def singular_probe(A: Tensor, trials: int = 5,
     to that eigenvalue, so the classes hold every answer.  Generic
     tensors miss on every trial and the attained values are the report's;
     tensors whose values are cofinite hit on every trial, and a slide to
-    lam = 0 estimates the exception set.  The trials must agree.  All
+    lam = 0 estimates the exception set.  The trials must agree, and a
+    lost path, which may hide a value, leaves no finite verdict.  All
     slides, trials x classes plus the lam = 0 rows, run as one stacked
     `gauss_newton` call; a trial hits when any of its rows does.
     """
@@ -474,6 +475,9 @@ def singular_probe(A: Tensor, trials: int = 5,
     if all(verdicts):
         return ProbeResult(kind=COFINITE_COMPLEMENT,
                            exceptions=() if zero else (0j,), trials=trials)
+    if report.failed_paths:
+        raise RuntimeError(
+            f"{report.failed_paths} failed paths may hide a value")
     return ProbeResult(kind=FINITE_VALUES, values=report.normalized_values,
                        trials=trials)
 

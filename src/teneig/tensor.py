@@ -57,6 +57,8 @@ class Tensor:
             raise ValueError(
                 f"entry array has shape {arr.shape}, expected {(self.n,) * self.m}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("tensor entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)

@@ -111,6 +111,14 @@ def test_parse_rejects_malformed_input():
         json.dumps({"m": True, "n": 2, "encoding": "dense", "entries": []}),
         json.dumps({"m": -1, "n": 0, "encoding": "dense", "entries": []}),
         json.dumps({"m": 100, "n": 2, "encoding": "dense", "entries": []}),
+        # json reads NaN and Infinity; a tensor entry must be finite
+        json.dumps({"m": 3, "n": 2, "encoding": "dense",
+                    "entries": [float("nan")] + [0] * 7}),
+        json.dumps({"m": 3, "n": 2, "encoding": "dense",
+                    "entries": [[1.0, float("inf")]] + [0] * 7}),
+        json.dumps({"m": 4, "n": 2, "encoding": "form",
+                    "entries": [{"exponents": [4, 0],
+                                 "coeff": float("nan")}]}),
     ]
     for text in bad:
         with pytest.raises(ValueError):

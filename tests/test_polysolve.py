@@ -177,6 +177,9 @@ def test_stacked_evaluation_matches_rows():
     for system in systems:
         U = (rng.standard_normal((5, system.nvars))
              + 1j * rng.standard_normal((5, system.nvars)))
+        F, J = system.value_and_jacobian(U[:0])        # an empty stack
+        assert F.shape == (0, system.neq)
+        assert J.shape == (0, system.neq, system.nvars)
         F, J = system.value_and_jacobian(U)
         assert F.shape == (5, system.neq)
         assert J.shape == (5, system.neq, system.nvars)
@@ -186,6 +189,13 @@ def test_stacked_evaluation_matches_rows():
             scale = 1 + np.max(np.abs(Jp))
             assert np.max(np.abs(F[p] - Fp)) <= 1e-13 * scale
             assert np.max(np.abs(J[p] - Jp)) <= 1e-13 * scale
+    # so the line phase takes an empty stack, with no guard of its own
+    hom = _materialize(systems[0], CFG)
+    U, E, res, steps = homotopy._line_phase(
+        hom, hom.start_points()[:0], STEP_TOL, np.zeros(0, dtype=int))
+    v = systems[0].nvars
+    assert [U.shape, E.shape, res.shape, steps.shape] == \
+        [(0, v), (0, v), (0,), (0,)]
 
 
 def test_stacked_solve_fails_only_singular_rows():
@@ -296,11 +306,11 @@ def test_jumped_paths_are_tracked_again(monkeypatch):
     line_phase, calls = homotopy._line_phase, []
 
     def jumping(hom, U0, tol, steps):
-        outcomes, U, steps = line_phase(hom, U0, tol, steps)
+        U, E, res, steps = line_phase(hom, U0, tol, steps)
         calls.append((tol, U0))
         if len(calls) == 1:
-            outcomes[5] = outcomes[2]
-        return outcomes, U, steps
+            E[5], res[5] = E[2], res[2]
+        return U, E, res, steps
 
     monkeypatch.setattr(homotopy, "_line_phase", jumping)
     report = eigenclasses(A, CFG)
@@ -317,7 +327,8 @@ def test_path_that_leaves_the_chart_is_lost(tmp_path, capsys):
     # an eigenpair (x, lam) with c.u = 0 on the patch's hyperplane lies
     # at infinity in the chart: a rank-one correction of a random tensor
     # puts one there, and the path that goes to it ends as a lost path,
-    # so the report is not clean and `teneig eig` exits 2
+    # so the report is not clean, and `teneig eig` and `teneig singular`
+    # (whose finite value list would miss the lost class) exit 2
     rng = np.random.default_rng(3)
     for m, n in [(3, 2), (3, 3), (4, 3)]:
         A0 = rand_tensor(m, n, rng)
@@ -338,6 +349,9 @@ def test_path_that_leaves_the_chart_is_lost(tmp_path, capsys):
             "entries": [[z.real, z.imag] for z in A.array.ravel()]}))
         assert main(["eig", str(path)]) == DEGENERATE
         assert "failed_paths=1" in capsys.readouterr().out
+        assert main(["singular", str(path)]) == DEGENERATE
+        assert "probe: inconclusive (1 failed paths may hide a value)" \
+            in capsys.readouterr().out
 
 
 def test_converged_endpoint_residuals(monkeypatch):
