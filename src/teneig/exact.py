@@ -7,11 +7,10 @@ after the entries are scaled by their common denominator.  The
 characteristic polynomial is one binary Sylvester resultant: the
 eigenvector cubic x2 (A x^2)_1 - x1 (A x^2)_2 against a quartic that
 vanishes at an eigenvector exactly when mu is the square of its
-normalized eigenvalue (see ``charpoly_exact_2_3``).  That 7x7 determinant
-is a cubic in mu, taken as integer determinants at mu = 0, 1, -1, 2 and
-interpolated exactly.  The few tensors on which the resultant drops
-degree get the same coefficients by exact interpolation along a rational
-perturbation line.
+normalized eigenvalue, divided by the square of the cubic's resultant
+with a fixed linear form (see ``charpoly_exact_2_3``).  That 7x7
+determinant is a cubic in mu, taken as integer determinants at
+mu = 0, 1, -1, 2 and interpolated exactly.
 """
 
 from __future__ import annotations
@@ -316,21 +315,21 @@ def resultant_quadratics_2(A: Tensor) -> GaussianRational:
     return _resultant_quadratics_entries(_exact_entries_222(A))
 
 
+
 @dataclass(frozen=True)
 class ExactCharPoly:
     """Characteristic polynomial C2*t^6 + C4*t^4 + C6*t^2 + C8 of an
     order-3 dimension-2 tensor (t the eigenvalue), exact coefficients.
 
-    ``anchor`` names the route that produced them: "c2" for the binary
-    resultant scaled by the closed-form C2, "perturbation" for exact
-    interpolation along a perturbation line (see ``charpoly_exact_2_3``).
+    In mu = t^2 it is the cubic phi(mu) of ``charpoly_exact_2_3``, with
+    C2 = u^2 + v^2 (u = -a111 + a122 + a212 + a221,
+    v = a112 + a121 + a211 - a222) and C8 = -Res_x(A x^2)^2.
     """
 
     c2: GaussianRational
     c4: GaussianRational
     c6: GaussianRational
     c8: GaussianRational
-    anchor: str = "c2"
 
     def coefficients(self) -> tuple:
         return (self.c2, self.c4, self.c6, self.c8)
@@ -356,8 +355,9 @@ class ExactCharPoly:
         return np.roots(arr[nz[0]:])
 
 
-# l^2 (x.x) = (3t + 7)^2 (t^2 + 1) at x = (t, 1), leading first
-_ELL2_NORM = (9, 42, 58, 42, 49)
+# the linear forms l = a x1 + b x2 tried in turn: their zeros are four
+# distinct points, and a nonzero binary cubic vanishes at three at most
+_FORMS = ((3, 7), (1, 0), (0, 1), (1, 1))
 _MU_NODES = (0, 1, -1, 2)
 
 
@@ -369,133 +369,54 @@ def _cubic_through(v0, v1, vm, v2):
     return (v0, (v1 - vm) // 2 - c3, c2, c3)
 
 
-def _charpoly_direct(entries):
-    """Anchored charpoly from one binary resultant, or None when a guard
-    fails: C2 = 0, a vanishing mu^3 coefficient, or C8 != -Res^2.
-
-    The entries are scaled by their common denominator D to Gaussian
-    integers.  That scales f = A x^2 and the cubic by D and
-    (3 f1 + 7 f2)^2 by D^2, so the 7x7 determinant at mu is
-    D^10 R(mu / D^2), R being the resultant of the unscaled forms: its
-    mu^k coefficient is D^(10-2k) r_k.  The determinant is taken at the
-    four integer nodes ``_MU_NODES`` and the cubic recovered exactly.
-    """
-    D, z = _zi_scale(entries)
-    c2 = _c2_closed_form(z)  # D^2 C2
-    if c2 == (0, 0):
-        return None
-    f1, f2 = _quadratics_zi(z)
-    cubic = ([_zlin((-1, f2[0]))] + [_zlin((1, f1[k]), (-1, f2[k + 1])) for k in range(2)]
-             + [f1[2]])  # x2 f1 - x1 f2
-    s2, s1, s0 = (_zlin((3, u), (7, v)) for u, v in zip(f1, f2))
-    square = [_zmul(s2, s2), _zlin((2, _zmul(s2, s1))),
-              _zlin((1, _zmul(s1, s1)), (2, _zmul(s2, s0))),
-              _zlin((2, _zmul(s1, s0))), _zmul(s0, s0)]  # (3 f1 + 7 f2)^2
-    values = [_det_zi(_sylvester(cubic, [(mu * w - sq[0], -sq[1])
-                                         for w, sq in zip(_ELL2_NORM, square)]))
-              for mu in _MU_NODES]
-    r = list(zip(*(_cubic_through(*part) for part in zip(*values))))
-    lead = r[3]
-    if lead == (0, 0):
-        return None
-    # r[k] = D^(10-2k) r_k and c2 = D^2 C2, so C2 r_k / r_3 is
-    # c2 r[k] conj(r[3]) / (|r[3]|^2 D^(8-2k))
-    norm = lead[0] * lead[0] + lead[1] * lead[1]
-    conj = (lead[0], -lead[1])
-    coeffs = [_zq(_zmul(_zmul(c2, r[k]), conj), norm * D ** (8 - 2 * k))
-              for k in (3, 2, 1, 0)]
-    res = _det_zi(_sylvester(f1, f2))  # D^4 Res(A x^2)
-    if coeffs[3] != -_zq(_zmul(res, res), D ** 8):
-        return None
-    return ExactCharPoly(*coeffs)
-
-
-# fixed generic rational direction for the perturbation fallback
-_PERTURB_DIRECTION = tuple(
-    GaussianRational(Fraction(p, q), Fraction(r, s))
-    for p, q, r, s in (
-        (1, 1, 1, 2), (-1, 2, 1, 3), (2, 3, -1, 5), (1, 5, 2, 7),
-        (-2, 7, 1, 2), (3, 4, -2, 9), (1, 7, 3, 5), (-3, 5, -1, 4),
-    )
-)
-_PERTURB_NODES = tuple(
-    Fraction(p, q)
-    for p, q in ((1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2),
-                 (3, 1), (-3, 1), (1, 3), (-1, 3), (4, 1), (-4, 1),
-                 (2, 3), (-2, 3), (5, 1), (-5, 1), (3, 2), (-3, 2))
-)
-
-
-def _charpoly_perturbed(entries) -> ExactCharPoly:
-    """Universal coefficients at a degenerate tensor via exact
-    interpolation along a generic rational line.
-
-    Each C_i is polynomial of degree <= 8 in the entries, so 9 clean
-    samples of A + t*B pin C_i(A + t*B) as a polynomial in t; evaluating
-    at t = 0 gives the coefficients of A itself even where the direct
-    elimination degenerates (specialization does not commute with
-    elimination on the singular variety).
-    """
-    samples = []
-    for t in _PERTURB_NODES:
-        cp = _charpoly_direct([e + t * d for e, d in zip(entries, _PERTURB_DIRECTION)])
-        if cp is not None:
-            samples.append((t, cp.coefficients()))
-        if len(samples) == 9:
-            break
-    if len(samples) < 9:
-        raise ArithmeticError("could not find enough clean perturbation samples")
-    # the nodes are rational, so the Lagrange weights at t = 0 are too
-    weights = [math.prod(-tj / (ti - tj) for tj, _ in samples if tj != ti)
-               for ti, _ in samples]
-    coeffs = tuple(
-        sum((w * vals[k] for w, (_, vals) in zip(weights, samples)), GaussianRational())
-        for k in range(4)
-    )
-    return ExactCharPoly(*coeffs, anchor="perturbation")
-
-
 def charpoly_exact_2_3(A: Tensor) -> ExactCharPoly:
     """Exact characteristic polynomial of an order-3, dimension-2 tensor.
 
     With f = A x^2, the eigenvectors are the roots of the binary cubic
-    g = x2 f1 - x1 f2.  Fix the linear form l = 3 x1 + 7 x2.  At a root
-    xi of g, f(xi) = lam xi, so 3 f1 + 7 f2 = lam l(xi), and the binary
-    quartic h = mu l^2 (x.x) - (3 f1 + 7 f2)^2 takes the value
+    g = x2 f1 - x1 f2.  Take a linear form l = a x1 + b x2.  At a root xi
+    of g, f(xi) = lam xi, so a f1 + b f2 = lam l(xi), and the binary
+    quartic h = mu l^2 (x.x) - (a f1 + b f2)^2 takes the value
     l(xi)^2 ((xi.xi) mu - lam^2).  It vanishes exactly at
     mu = lam^2 / (xi.xi), the squared eigenvalue of xi normalized to
-    x.x = 1.  So Res_x(g, h), a 7x7 Sylvester determinant with entries
-    in mu, is lead * prod_i (mu - mu_i), and the even sextic with roots
-    +-sqrt(mu_i) is C2 * prod_i (t^2 - mu_i), with C2 anchored to its
-    sum-of-squares closed form in the entries.  With that anchoring the
-    constant coefficient is the negated square of Res_x(A x^2).
+    x.x = 1.  By multiplicativity Res_x(g, h) = Res(g, l)^2 phi(mu), an
+    identity in the entries, where phi does not depend on l and its
+    coefficients are those of ``ExactCharPoly``.  So phi is one 7x7
+    Sylvester determinant divided by Res(g, l)^2, with l the first of
+    3 x1 + 7 x2, x1, x2, x1 + x2 on which Res(g, l) != 0.  Only g = 0,
+    the positive-dimensional case, leaves none, and there phi = 0.
 
-    By multiplicativity lead = Res(g, l)^2 Res(g, x.x): it vanishes when
-    g = 0 or when an eigenvector is isotropic or lies on l = 0.  Any
-    linear form works off that locus; l is fixed so the result depends
-    on no per-tensor choice, and it is not a coordinate form, which
-    would vanish at the axis eigenvectors of diagonal and sparse tensors.
-
-    When C2 = 0 or lead = 0 the monic cubic cannot fix the sextic, and
-    C8 != -Res^2 would flag a result that is not the specialized
-    universal polynomial.  On those tensors the coefficients come from
-    exact interpolation along a generic rational perturbation line
-    instead.  Either way an all-zero result is exactly the
-    singular-tensor condition.
+    The entries are scaled by their common denominator D to Gaussian
+    integers.  That scales f and g by D and (a f1 + b f2)^2 by D^2, so
+    the determinant at mu is D^10 Res(g, h)(mu / D^2): its mu^k
+    coefficient r[k] is D^(10-2k) Res(g, l)^2 C_k.  It is taken at the
+    four integer nodes ``_MU_NODES`` and the cubic recovered exactly.
+    An all-zero result is exactly the singular-tensor condition.
     """
-    entries = _exact_entries_222(A)
-    direct = _charpoly_direct(entries)
-    if direct is not None:
-        return direct
-    return _charpoly_perturbed(entries)
-
-
-def _c2_closed_form(z):
-    """C2 = u^2 + v^2 on the flat Gaussian integer entries z."""
-    a111, a112, a121, a122, a211, a212, a221, a222 = z
-    u = _zlin((-1, a111), (1, a122), (1, a212), (1, a221))
-    v = _zlin((1, a112), (1, a121), (1, a211), (-1, a222))
-    return _zlin((1, _zmul(u, u)), (1, _zmul(v, v)))
+    D, z = _zi_scale(_exact_entries_222(A))
+    f1, f2 = _quadratics_zi(z)
+    g = ([_zlin((-1, f2[0]))] + [_zlin((1, f1[k]), (-1, f2[k + 1])) for k in range(2)]
+         + [f1[2]])
+    for a, b in _FORMS:
+        res_l = _det_zi(_sylvester(g, [(a, 0), (b, 0)]))  # D Res(g, l)
+        if res_l != (0, 0):
+            break
+    else:
+        return ExactCharPoly(*[GaussianRational()] * 4)
+    s2, s1, s0 = (_zlin((a, u), (b, v)) for u, v in zip(f1, f2))
+    square = [_zmul(s2, s2), _zlin((2, _zmul(s2, s1))),
+              _zlin((1, _zmul(s1, s1)), (2, _zmul(s2, s0))),
+              _zlin((2, _zmul(s1, s0))), _zmul(s0, s0)]  # (a f1 + b f2)^2
+    ell2_norm = (a * a, 2 * a * b, a * a + b * b, 2 * a * b, b * b)  # l^2 (x.x)
+    values = [_det_zi(_sylvester(g, [(mu * w - sq[0], -sq[1])
+                                     for w, sq in zip(ell2_norm, square)]))
+              for mu in _MU_NODES]
+    r = list(zip(*(_cubic_through(*part) for part in zip(*values))))
+    # lead = D^2 Res(g, l)^2, so C_k = r[k] conj(lead) / (|lead|^2 D^(8-2k))
+    lead = _zmul(res_l, res_l)
+    norm = lead[0] * lead[0] + lead[1] * lead[1]
+    conj = (lead[0], -lead[1])
+    return ExactCharPoly(*(_zq(_zmul(r[k], conj), norm * D ** (8 - 2 * k))
+                           for k in (3, 2, 1, 0)))
 
 
 def is_singular_222(A: Tensor) -> bool:

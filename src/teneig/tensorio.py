@@ -46,20 +46,23 @@ def _parse_value(v) -> tuple:
     """One entry -> (complex value, exact GaussianRational or None)."""
     if isinstance(v, bool):
         raise ValueError("boolean is not a tensor entry")
-    if isinstance(v, int):
-        return complex(v), GaussianRational.coerce(v)
-    if isinstance(v, float):
-        return complex(v), None
-    if isinstance(v, str):
-        g = GaussianRational.from_string(v)
-        return g.to_complex(), g
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in v)):
-        re, im = v
-        exact = (GaussianRational(re, im)
-                 if isinstance(re, int) and isinstance(im, int) else None)
-        return complex(re, im), exact
+    try:
+        if isinstance(v, int):
+            return complex(v), GaussianRational.coerce(v)
+        if isinstance(v, float):
+            return complex(v), None
+        if isinstance(v, str):
+            g = GaussianRational.from_string(v)
+            return g.to_complex(), g
+        if (isinstance(v, (list, tuple)) and len(v) == 2
+                and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                        for c in v)):
+            re, im = v
+            exact = (GaussianRational(re, im)
+                     if isinstance(re, int) and isinstance(im, int) else None)
+            return complex(re, im), exact
+    except OverflowError as e:
+        raise ValueError("tensor entry beyond float range") from e
     raise ValueError(f"bad tensor entry {v!r}")
 
 
@@ -103,7 +106,13 @@ def parse_tensor_json(text: str) -> LoadedTensor:
             if not isinstance(item, dict) or "exponents" not in item \
                     or "coeff" not in item:
                 raise ValueError(f"bad form term {item!r}")
-            expo = tuple(item["exponents"])
+            expo = item["exponents"]
+            if not isinstance(expo, list) or not all(
+                    isinstance(e, int) and not isinstance(e, bool) and e >= 0
+                    for e in expo):
+                raise ValueError(f"form exponents must be a list of non-negative "
+                                 f"integers, got {expo!r}")
+            expo = tuple(expo)
             z, _ = _parse_value(item["coeff"])
             terms[expo] = terms.get(expo, 0j) + z
         form = PolyForm(m, n, terms)   # validates arity and degrees

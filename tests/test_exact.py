@@ -172,8 +172,8 @@ def test_charpoly_c2_sum_of_squares():
 
 
 def test_charpoly_c8_is_negated_resultant_square():
-    # with C2 anchored to the sum-of-squares form, the constant term comes
-    # out as the negated square of Res_x(A x^2) on every sampled tensor
+    # with C2 = u^2 + v^2, the constant term comes out as the negated
+    # square of Res_x(A x^2) on every sampled tensor
     rng = np.random.default_rng(505)
     for _ in range(10):
         vals = [gr(rand_rational(rng), rand_rational(rng)) for _ in range(8)]
@@ -191,41 +191,26 @@ def test_resultant_quadratics_sign():
 
 
 def test_charpoly_routes():
-    # C2 = 0 here, so the direct route cannot anchor the sextic and the
-    # perturbation fallback gives the nonzero result
+    # the eigenvectors (1, i) and (1, -i) are isotropic, so C2 = 0
     cp = charpoly_exact_2_3(exact_222([0, 0, 0, -1, -1, 0, 1, -1]))
     assert cp.coefficients() == (gr(0), gr(0), gr(2), gr(-1))
-    assert cp.anchor == "perturbation"
-    # the diagonal tensor has the axis eigenvectors (1, 0) and (0, 1); the
-    # fixed form 3 x1 + 7 x2 vanishes at neither, so it stays direct
-    assert charpoly_exact_2_3(exact_222([1, 0, 0, 0, 0, 0, 0, 1])).anchor == "c2"
-    # the eigenvector (7, -3) lies on 3 x1 + 7 x2 = 0, so the resultant's
-    # mu^3 coefficient vanishes though C2 = 928/2401 does not; the
-    # perturbation route keeps C2 at its closed form and C8 = -Res^2
+    # the eigenvectors (1, 0), (0, 1) and (7, -3) of diag(3, -7) lie on
+    # x2, x1 and 3 x1 + 7 x2, so only the last form x1 + x2 keeps
+    # Res(g, l) != 0
+    cp = charpoly_exact_2_3(exact_222([3, 0, 0, 0, 0, 0, 0, -7]))
+    assert cp.coefficients() == (gr(58), gr(-3805), gr(51156), gr(-194481))
+    # the eigenvector (7, -3) lies on 3 x1 + 7 x2 = 0, so the form x1
+    # gives the quotient; C2 keeps its closed form and C8 = -Res^2
     vals = [gr(Fraction(61, 49)), 1, 2, 1, gr(Fraction(-3, 7)), 1, -1, 2]
     A = exact_222(vals)
     cp = charpoly_exact_2_3(A)
-    assert cp.anchor == "perturbation"
+    assert cp.coefficients() == (
+        gr(Fraction(928, 2401)), gr(Fraction(-4037168, 5764801)),
+        gr(Fraction(215442026, 5764801)), gr(Fraction(-3713329, 5764801)))
     u = -vals[0] + vals[3] + vals[5] + vals[6]
     v = vals[1] + vals[2] + vals[4] - vals[7]
-    assert cp.c2 == u * u + v * v == gr(Fraction(928, 2401))
+    assert cp.c2 == u * u + v * v
     assert cp.c8 == -resultant_quadratics_2(A) ** 2
-
-
-def test_charpoly_perturbed_matches_direct():
-    # exact interpolation along the perturbation line reproduces the
-    # direct route wherever the direct route applies
-    rng = np.random.default_rng(909)
-    checked = 0
-    while checked < 20:
-        entries = [gr(rand_rational(rng), rand_rational(rng)) for _ in range(8)]
-        direct = exact._charpoly_direct(entries)
-        if direct is None:
-            continue
-        perturbed = exact._charpoly_perturbed(entries)
-        assert perturbed.coefficients() == direct.coefficients()
-        assert perturbed.anchor == "perturbation"
-        checked += 1
 
 
 def test_charpoly_homogeneity():

@@ -119,6 +119,11 @@ def test_parse_rejects_malformed_input():
         json.dumps({"m": 4, "n": 2, "encoding": "form",
                     "entries": [{"exponents": [4, 0],
                                  "coeff": float("nan")}]}),
+    ] + [
+        # exponents are a list of non-negative ints, never coerced to one
+        json.dumps({"m": 4, "n": 2, "encoding": "form",
+                    "entries": [{"exponents": expo, "coeff": 1}]})
+        for expo in (4, [[2], [2]], [2.5, 2.5], "22", [True, 3])
     ]
     for text in bad:
         with pytest.raises(ValueError):
@@ -230,6 +235,14 @@ def test_cli_eig_bad_input(tmp_path, capsys):
             tracemalloc.stop()
         assert peak < 5e7
         assert "path stack" in capsys.readouterr().err
+    # exact entries beyond float range: the float array cannot hold them
+    overflow = [{"m": 3, "n": 2, "encoding": "dense", "entries": [v] + [0] * 7}
+                for v in (10**400, "1e400", [10**400, 0])]
+    overflow.append({"m": 4, "n": 2, "encoding": "form",
+                     "entries": [{"exponents": [4, 0], "coeff": "1e400"}]})
+    for k, obj in enumerate(overflow):
+        assert main(["eig", write(tmp_path, f"overflow{k}.json", obj)]) == INPUT_ERROR
+        assert capsys.readouterr().err == "error: tensor entry beyond float range\n"
 
 
 def test_cli_charpoly(tmp_path, capsys):
